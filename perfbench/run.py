@@ -9,7 +9,7 @@ checks, and, as the last line, a JSON object with ``correct``,
 
 ``--trace 0`` reports the end-to-end metrics of an untraced run.
 ``--trace 1`` makes an untraced and a traced pass of ``seconds / 2``
-each and reports the per-layer metrics (see ``layers.py``); the spans go
+each (on ``sharded_adaptive``, half the requests each) and reports the per-layer metrics (see ``layers.py``); the spans go
 to a JSON-lines file next to the result file. Results land in
 ``.perfbench_out/`` at the root of the checkout. The exit code is 0 only
 when every check passed.
@@ -26,7 +26,8 @@ import statistics
 import sys
 import time
 
-from layers import EXTRA, LAYERS, LayerTracer, total_seconds
+from layers import (EXTRA, LAYER, LAYERS, NAME, PARENT, LayerTracer,
+                    total_seconds)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -36,7 +37,6 @@ END_TO_END = [
     ("throughput_qps", "queries/s", "higher"),
     ("latency_p50_ms", "ms", "lower"),
     ("latency_p90_ms", "ms", "lower"),
-    ("latency_p99_ms", "ms", "lower"),
     ("answered_frac", "ratio", "higher"),
     ("setup_s", "s", "lower"),
     ("peak_rss_mb", "MiB", "lower"),
@@ -54,7 +54,7 @@ PER_LAYER = [
     ("optimize.minimize_calls", "count", "lower"),
     ("optimize.minimize_ms_per_call", "ms", "lower"),
     ("optimize.exact_ratio", "ratio", "higher"),
-    ("optimize.solves_per_round", "count", "lower"),
+    ("optimize.solves_per_round", "ratio", "higher"),
     ("losses.gradient_calls", "count", "lower"),
     ("losses.gradient_s", "s", "lower"),
     ("losses.value_calls", "count", "lower"),
@@ -98,6 +98,8 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 SETUP_REPEATS = {"glm_backlog": 25, "linear_repeat": 9, "sharded_adaptive": 5}
 #: An open-loop run is invalid when its sends ran later than this (p99).
 GENERATOR_LAG_BOUND_MS = 50.0
+#: latency_p99_ms is printed only for runs with at least this many requests.
+P99_MIN_REQUESTS = 1000
 
 
 def _load_program():
@@ -145,6 +147,7 @@ class Pass:
 
     def __init__(self, workload, inputs, workdir, seconds, tracer=None):
         import workloads
+        from repro.exceptions import Shed
 
         started = time.perf_counter()
         deployment = workload.deploy(inputs, workdir)
@@ -184,6 +187,7 @@ class Pass:
         self.attempted = len(requests)
         self.answered = sum(r.answered for r in requests)
         self.failed = self.attempted - self.answered
+        self.shed = sum(isinstance(r.error, Shed) for r in requests)
 
     @property
     def cpu_per_query(self) -> float:
@@ -223,7 +227,6 @@ def end_to_end(workload, inputs, workdir, seconds, smoke):
         "throughput_qps": run.answered / run.drive.window_s,
         "latency_p50_ms": _percentile_ms(latencies, 50),
         "latency_p90_ms": _percentile_ms(latencies, 90),
-        "latency_p99_ms": _percentile_ms(latencies, 99),
         "answered_frac": run.answered / run.attempted,
         "setup_s": statistics.median(setups),
         "peak_rss_mb": own_peak + run.worker_peak_mib,
@@ -233,11 +236,53 @@ def end_to_end(workload, inputs, workdir, seconds, smoke):
     }
     sources = [r.source for r in run.drive.requests if r.answered]
     extra = {"failed_frac": run.failed / run.attempted,
+             "latency_p99_ms": (_percentile_ms(latencies, 99)
+                                if run.attempted >= P99_MIN_REQUESTS
+                                else None),
              "sources": {name: sources.count(name) for name in set(sources)},
              "window_s": run.drive.window_s,
              "answer_error_max": max(errors, default=0.0),
              "setup_samples_s": setups}
     return run, metrics, extra
+
+
+def _useful_solves(workload, requests) -> int:
+    """Solves the CM answers needed, counted from their sources: a paid
+    round (``update`` or ``no-update``) needs the hypothesis-side minimum,
+    and the data-side one the first time its session asks the query; a
+    ``hypothesis`` answer needs the hypothesis-side minimum; a ``cache``
+    hit needs none."""
+    data_side = set()
+    hypothesis_side = 0
+    for r in requests:
+        if not (r.answered and workload.is_cm(r)):
+            continue
+        if r.source in ("update", "no-update"):
+            data_side.add((r.sid, r.key))
+            hypothesis_side += 1
+        elif r.source == "hypothesis":
+            hypothesis_side += 1
+    return len(data_side) + hypothesis_side
+
+
+def _attempted_solves(tracer) -> int:
+    """Every minimum the program computed: each member of an engine batch
+    (closed form or not) plus each ``minimize_loss`` call made outside
+    one."""
+    def in_batch(span):
+        ancestor = span[PARENT]
+        while ancestor is not None:
+            if ancestor[LAYER] == "engine" and ancestor[NAME] == \
+                    "batch_minima":
+                return True
+            ancestor = ancestor[PARENT]
+        return False
+
+    batched = sum(span[EXTRA] for span in tracer.named("engine",
+                                                        "batch_minima"))
+    alone = sum(not in_batch(span)
+                for span in tracer.named("optimize", "minimize"))
+    return batched + alone
 
 
 def per_layer(workload, inputs, workdir, seconds, spans_path):
@@ -263,6 +308,7 @@ def per_layer(workload, inputs, workdir, seconds, spans_path):
     batches = (tracer.named("service", "serve_session_batch")
                if not rpc else rpc)
     rpc_s = total_seconds(rpc)
+    attempted_solves = _attempted_solves(tracer)
     metrics.update({
         "optimize.minimize_calls": len(minimize),
         "optimize.minimize_ms_per_call": (
@@ -271,7 +317,9 @@ def per_layer(workload, inputs, workdir, seconds, spans_path):
         "optimize.exact_ratio": (
             sum(span[EXTRA] for span in minimize) / len(minimize)
             if minimize else 0.0),
-        "optimize.solves_per_round": len(minimize) / max(1, len(svt)),
+        "optimize.solves_per_round": (
+            _useful_solves(workload, requests) / attempted_solves
+            if attempted_solves else 0.0),
         "losses.gradient_calls": len(tracer.named("losses", "gradient")),
         "losses.gradient_s": total_seconds(tracer.named("losses",
                                                         "gradient")),
@@ -295,7 +343,7 @@ def per_layer(workload, inputs, workdir, seconds, spans_path):
         "gateway.batch_width_mean": (
             sum(span[EXTRA] for span in batches) / len(batches)
             if batches else 0.0),
-        "gateway.shed": traced.failed,
+        "gateway.shed": traced.shed,
         "shard.rpc_s": rpc_s,
         "shard.worker_serve_s": traced.worker_serve_s,
         "shard.boundary_ms_per_call": (
@@ -409,12 +457,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=os.path.join(ROOT, ".perfbench_out"),
                         help="directory for result files and temporary ledgers")
     args = parser.parse_args(argv)
-    # One BLAS thread per process: the gateway already runs one worker
-    # thread per core, and idle BLAS helper threads spinning beside them
-    # made identical runs differ by about 10% in CPU per query. Set
-    # before numpy loads; spawned shard workers inherit it.
+    # One BLAS thread per process, whatever the caller's environment: the
+    # gateway already runs one worker thread per core, and idle BLAS
+    # helper threads spinning beside them made identical runs differ by
+    # about 10% in CPU per query. Set before numpy loads; spawned shard
+    # workers inherit it.
     for variable in BLAS_THREAD_VARIABLES:
-        os.environ.setdefault(variable, "1")
+        os.environ[variable] = "1"
     _load_program()
     from workloads import WORKLOADS
 
@@ -443,6 +492,8 @@ def main(argv=None) -> int:
     if not args.trace:
         print(f"  failed_frac = {extra['failed_frac']:.6g} ratio")
         print(f"  answer_error_max = {extra['answer_error_max']:.6g} loss")
+        if extra["latency_p99_ms"] is not None:
+            print(f"  latency_p99_ms = {extra['latency_p99_ms']:.6g} ms")
     print(f"requests: sent {run.attempted}, succeeded {run.answered}, "
           f"failed {run.failed}")
     if workload.open_loop:

@@ -13,7 +13,7 @@ the timed window.
   mostly repeats, sent open loop at a fixed rate.
 - ``sharded_adaptive``: squared-GLM pmw-convex and pmw-linear sessions
   on a 2-shard ``ShardedService``, closed loop, one query in flight per
-  analyst.
+  analyst, a fixed number of requests per analyst.
 """
 
 from __future__ import annotations
@@ -72,11 +72,12 @@ class Request:
     to the heap the program's garbage collector walks.
     """
 
-    __slots__ = ("session", "key", "query", "due", "sent", "done",
+    __slots__ = ("session", "sid", "key", "query", "due", "sent", "done",
                  "value", "source", "error")
 
     def __init__(self, session: int, key, query) -> None:
-        self.session = session
+        self.session = session  # the analyst's index (in its epoch)
+        self.sid: str | None = None  # the service's session id, once sent
         self.key = key          # identifies the distinct query asked
         self.query = query      # a fresh object, never fingerprinted yet
         self.due = 0.0          # open loop: the scheduled send time
@@ -130,6 +131,7 @@ def _submit(gateway, sid: str, request: Request, outstanding: Outstanding,
             tracer) -> None:
     """Send one request; its outcome lands on the request itself."""
     outstanding.add()
+    request.sid = sid
     request.sent = clock()
     if tracer is not None:
         tracer.note_submit(request.query, id(request), request.sent)
@@ -270,6 +272,11 @@ class GlmBacklog:
         self.distinct = 3 if smoke else 9   # a multiple of the 3 families
         self.universe_size = 64 if smoke else 512
 
+    @staticmethod
+    def is_cm(request) -> bool:
+        """Every request is a CM query."""
+        return True
+
     def make_inputs(self, seed: int) -> dict:
         task = make_classification_dataset(
             n=20_000, d=5, universe_size=self.universe_size, rng=seed)
@@ -376,6 +383,11 @@ class LinearRepeat:
         self.analysts = 4 if smoke else 32
         self.rate = 200.0 if smoke else self.RATE
 
+    @staticmethod
+    def is_cm(request) -> bool:
+        """No request is a CM query."""
+        return False
+
     def make_inputs(self, seed: int) -> dict:
         size = self.universe_size
         rng = np.random.default_rng(seed)
@@ -455,17 +467,39 @@ class ShardedAdaptive:
     A low alpha and a high update budget make many rounds MW updates,
     oracle calls and ledger appends, and every request crosses the frame
     protocol, the pipe and query interning.
+
+    The window is a fixed amount of work: every analyst sends the same
+    number of requests, from a stream made from the seed alone, and the
+    window ends when the last one settles. So the requests, the answer
+    mix and the privacy spent do not change with the speed of the host
+    or of the program; only the time the work takes does.
     """
 
     name = "sharded_adaptive"
     open_loop = False
     REPEAT_SHARE = 0.5
     CHECKPOINT_EVERY = 64
+    #: Requests per analyst per second of ``--seconds``: about three
+    #: quarters of the rate one analyst's requests were answered at on a
+    #: 2-vCPU host when the benchmark was defined (600-700 queries/s in
+    #: all), so a run there lasts about 3/4 of ``--seconds``.
+    REQUESTS_PER_ANALYST_SECOND = 30
+    #: Far above the updates a session makes in a run (about 230 on
+    #: average at 1,350 requests), so no session halts.
+    MAX_UPDATES = 1000
 
     def __init__(self, smoke: bool = False) -> None:
         self.analysts = 4 if smoke else 16
         self.feature_size = 64 if smoke else 2048
         self.shards = 2
+
+    def requests_per_analyst(self, seconds: float) -> int:
+        return max(4, round(seconds * self.REQUESTS_PER_ANALYST_SECOND))
+
+    @staticmethod
+    def is_cm(request) -> bool:
+        """Even analysts ask CM queries."""
+        return request.session % 2 == 0
 
     def make_inputs(self, seed: int) -> dict:
         task = make_classification_dataset(
@@ -480,9 +514,9 @@ class ShardedAdaptive:
             "widths": widths, "bases": _interval_bases(size, widths),
             "convex": dict(oracle="noisy-sgd", scale=probe.scale_bound(),
                            alpha=0.05, epsilon=1.0, delta=1e-6,
-                           max_updates=200),
+                           max_updates=self.MAX_UPDATES),
             "linear": dict(alpha=0.05, epsilon=1.0, delta=1e-6,
-                           max_updates=200),
+                           max_updates=self.MAX_UPDATES),
         }
 
     def deploy(self, inputs, workdir) -> Deployment:
@@ -506,53 +540,53 @@ class ShardedAdaptive:
         return Deployment(service, gateway, sids, workdir, ledgers,
                           worker_pids=pids, spawn_s=spawn_s)
 
-    def _streams(self, inputs, originals: dict):
-        """Per analyst, an endless deterministic query sequence; every
-        distinct query is also kept in ``originals`` by key."""
+    def _stream(self, inputs, index: int, count: int, originals: dict):
+        """Analyst ``index``'s ``count`` queries, from the seed alone;
+        every distinct query is also kept in ``originals`` by key."""
         universe = inputs["dataset"].universe
         size = universe.size
         widths = inputs["widths"]
-
-        def stream(index):
-            rng = np.random.default_rng([inputs["seed"], index])
-            asked: list = []
-            while True:
-                if asked and rng.random() < self.REPEAT_SHARE:
-                    key, query = asked[int(rng.integers(len(asked)))]
-                    yield key, _fresh(query)
-                    continue
-                if index % 2 == 0:
-                    key = ("squared", index, len(asked))
-                    query = random_squared_family(universe, 1, rng=rng)[0]
-                else:
-                    width = widths[int(rng.integers(len(widths)))]
-                    key = (int(rng.integers(0, size - width + 1)), width)
-                    query = _interval_query(inputs["bases"], size, *key)
-                asked.append((key, query))
-                originals[key] = query
+        rng = np.random.default_rng([inputs["seed"], index])
+        asked: list = []
+        for _ in range(count):
+            if asked and rng.random() < self.REPEAT_SHARE:
+                key, query = asked[int(rng.integers(len(asked)))]
                 yield key, _fresh(query)
-
-        return [stream(index) for index in range(self.analysts)]
+                continue
+            if index % 2 == 0:
+                key = ("squared", index, len(asked))
+                query = random_squared_family(universe, 1, rng=rng)[0]
+            else:
+                width = widths[int(rng.integers(len(widths)))]
+                key = (int(rng.integers(0, size - width + 1)), width)
+                query = _interval_query(inputs["bases"], size, *key)
+            asked.append((key, query))
+            originals[key] = query
+            yield key, _fresh(query)
 
     def drive(self, deployment, inputs, seconds: float, tracer=None) -> Drive:
+        count = self.requests_per_analyst(seconds)
         originals: dict = {}
-        streams = self._streams(inputs, originals)
+        streams = [self._stream(inputs, index, count, originals)
+                   for index in range(self.analysts)]
         gateway, sids = deployment.gateway, deployment.sids
         requests: list[Request] = []
         outstanding = Outstanding()
 
         def send(session: int) -> None:
-            key, query = next(streams[session])
-            request = Request(session, key, query)
+            request = Request(session, *next(streams[session]))
             requests.append(request)
             _submit(gateway, sids[session], request, outstanding, tracer)
 
         cpu_start, origin = cpu_s(deployment), clock()
         for session in range(self.analysts):
             send(session)
-        end = origin + seconds
-        while clock() < end:
-            send(outstanding.settled.get().session)
+        unsent = [count - 1] * self.analysts
+        while any(unsent):
+            session = outstanding.settled.get().session
+            if unsent[session]:
+                unsent[session] -= 1
+                send(session)
         outstanding.wait()
         window = max(r.done for r in requests) - origin
         return Drive(requests, window, cpu_s(deployment) - cpu_start,
