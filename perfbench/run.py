@@ -18,10 +18,12 @@ when every check passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import resource
+import signal
 import statistics
 import sys
 import time
@@ -100,6 +102,8 @@ SETUP_REPEATS = {"glm_backlog": 25, "linear_repeat": 9, "sharded_adaptive": 5}
 GENERATOR_LAG_BOUND_MS = 50.0
 #: latency_p99_ms is printed only for runs with at least this many requests.
 P99_MIN_REQUESTS = 1000
+#: How long a leftover process is given to end after each signal.
+STOP_GRACE_S = 10.0
 
 
 def _load_program():
@@ -528,5 +532,88 @@ def main(argv=None) -> int:
     return 0 if not problems else 1
 
 
+# -- processes ---------------------------------------------------------------------
+
+
+def _descendants(pid: int) -> list[int]:
+    """Every live process below ``pid``, read from ``/proc``."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii",
+                      errors="replace") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z":
+            parents[int(entry)] = int(fields[1])
+    found, frontier = [], [pid]
+    while frontier:
+        parent = frontier.pop()
+        children = [child for child, up in parents.items() if up == parent]
+        found.extend(children)
+        frontier.extend(children)
+    return found
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii",
+                  errors="replace") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def stop_processes() -> None:
+    """Stop every process the run started and wait for each to end.
+
+    ``ShardedService`` forks its shard workers from a multiprocessing
+    forkserver, and shared memory starts a resource tracker; both helpers
+    otherwise outlive the benchmark until they notice it has exited. Any
+    other descendant (a shard worker a failed run did not close) is
+    terminated first: each worker holds the forkserver's pipe open, and
+    the forkserver holds the tracker's.
+    """
+    from multiprocessing import forkserver, resource_tracker
+
+    if not os.path.isdir("/proc"):
+        return
+    helpers = (forkserver._forkserver, resource_tracker._resource_tracker)
+    helper_pids = {getattr(helpers[0], "_forkserver_pid", None),
+                   getattr(helpers[1], "_pid", None)}
+    leftover = [pid for pid in _descendants(os.getpid())
+                if pid not in helper_pids]
+    for signal_number in (signal.SIGTERM, signal.SIGKILL):
+        leftover = [pid for pid in leftover if _running(pid)]
+        for pid in leftover:
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal_number)
+        deadline = time.monotonic() + STOP_GRACE_S
+        while (time.monotonic() < deadline
+               and any(_running(pid) for pid in leftover)):
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            time.sleep(0.05)
+    for helper in helpers:
+        with contextlib.suppress(AttributeError, OSError, ChildProcessError):
+            helper._stop()
+
+
+def cli() -> int:
+    # A terminated run unwinds like an interrupted one, through the
+    # cleanup below.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        return main()
+    finally:
+        workloads = sys.modules.get("workloads")
+        if workloads is not None:
+            workloads.close_started()
+        stop_processes()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli())

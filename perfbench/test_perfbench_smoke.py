@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from unittest import mock
 
@@ -63,3 +64,41 @@ def test_smoke_run_passes_every_check(workload, trace, tmp_path):
     # Temporary ledgers are removed; only result files remain.
     assert not [name for name in os.listdir(tmp_path)
                 if name.startswith("work-")]
+
+
+def _session_members(session_id: int) -> list[str]:
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii",
+                      errors="replace") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        # fields: state, ppid, pgrp, session, ...
+        if int(fields[3]) == session_id and fields[0] != "Z":
+            members.append(entry)
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_command_leaves_no_process_running(tmp_path):
+    """The forkserver, the resource tracker and the shard workers a
+    sharded run starts have all ended by the time the command exits."""
+    command = [sys.executable, os.path.join(HERE, "run.py"),
+               "--workload", "sharded_adaptive", "--seed", "3",
+               "--seconds", "1", "--trace", "0", "--smoke",
+               "--out", str(tmp_path)]
+    # Output goes to a file, not a pipe: waiting for a pipe's end would
+    # also wait for every process that inherited it.
+    log = tmp_path / "output.txt"
+    with open(log, "wb") as output:
+        process = subprocess.Popen(command, cwd=os.path.dirname(HERE),
+                                   stdout=output, stderr=subprocess.STDOUT,
+                                   start_new_session=True)
+        code = process.wait(timeout=120)
+    left = _session_members(process.pid)
+    assert code == 0, log.read_text()
+    assert left == []

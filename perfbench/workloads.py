@@ -18,6 +18,7 @@ the timed window.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import os
 import queue
@@ -479,13 +480,13 @@ class ShardedAdaptive:
     open_loop = False
     REPEAT_SHARE = 0.5
     CHECKPOINT_EVERY = 64
-    #: Requests per analyst per second of ``--seconds``: about three
-    #: quarters of the rate one analyst's requests were answered at on a
-    #: 2-vCPU host when the benchmark was defined (600-700 queries/s in
-    #: all), so a run there lasts about 3/4 of ``--seconds``.
-    REQUESTS_PER_ANALYST_SECOND = 30
-    #: Far above the updates a session makes in a run (about 230 on
-    #: average at 1,350 requests), so no session halts.
+    #: Requests per analyst per second of ``--seconds``. On a 2-vCPU host
+    #: whose speed drifts by up to 3x over hours, all 16 analysts were
+    #: answered at 230-630 queries/s, so a run's window lasts between
+    #: about 0.4 and 1.05 times ``--seconds``.
+    REQUESTS_PER_ANALYST_SECOND = 15
+    #: Far above the updates a session makes in a run (about 120
+    #: on average at 675 requests), so no session halts.
     MAX_UPDATES = 1000
 
     def __init__(self, smoke: bool = False) -> None:
@@ -525,6 +526,7 @@ class ShardedAdaptive:
                                  shards=self.shards,
                                  checkpoint_every=self.CHECKPOINT_EVERY,
                                  rng=inputs["seed"])
+        STARTED_SERVICES.append(service)
         pids = [service.ping(shard)["pid"] for shard in service.shard_ids]
         spawn_s = clock() - started
         sids = [service.open_session(
@@ -618,10 +620,23 @@ WORKLOADS = {cls.name: cls for cls in (GlmBacklog, LinearRepeat,
 
 # -- teardown and checks --------------------------------------------------------------
 
+#: Every ShardedService started, so that :func:`close_started` can stop the
+#: shard workers of a run that failed before it closed its deployment.
+STARTED_SERVICES: list = []
+
 
 def close(deployment) -> None:
     deployment.gateway.close()
     deployment.service.close()
+
+
+def close_started() -> None:
+    """Close every ShardedService still open (closing is idempotent): its
+    monitor stops restoring shards, and its workers exit."""
+    while STARTED_SERVICES:
+        service = STARTED_SERVICES.pop()
+        with contextlib.suppress(Exception):
+            service.close()
 
 
 def remove(deployment) -> None:
