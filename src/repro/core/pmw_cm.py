@@ -45,6 +45,7 @@ from repro.exceptions import (
 )
 from repro.losses.base import LossFunction
 from repro.obs import trace
+from repro.optimize.lockstep import lockstep_eligible
 from repro.optimize.minimize import MinimizeResult, minimize_loss
 from repro.utils.rng import spawn_generators
 
@@ -221,12 +222,16 @@ class PrivateMWConvex:
         # staler starts still seed the solver but keep the full budget.
         self._warm_starts: OrderedDict[str,
                                        tuple[int, np.ndarray]] = OrderedDict()
-        # The current serving lane's closed-form-batchable losses, keyed
-        # by fingerprint (registered by prewarm, replaced per lane): on a
-        # hypothesis-minima miss for any lane member, the *whole* lane's
-        # hypothesis solves at the current version collapse into one
-        # shared-moment engine pass instead of one solve per round.
-        self._lane_minima: OrderedDict[str, LossFunction] = OrderedDict()
+        # The current serving lane's batchable losses, keyed by
+        # fingerprint (registered by prewarm, replaced per lane), each
+        # with whether its minimum has a shared closed form. On a
+        # hypothesis-minima miss for a closed-form member, the lane's
+        # closed-form solves at the current version collapse into one
+        # shared-moment engine pass. Iterative (lockstep) members batch
+        # only once the mechanism has halted: before that, an MW update
+        # would discard a batch solved ahead of its rounds.
+        self._lane_minima: OrderedDict[str, tuple[LossFunction, bool]] = \
+            OrderedDict()
         self._answers: list[PMWAnswer] = []
         self._updates = 0
         self._history: list[dict] = []
@@ -424,12 +429,12 @@ class PrivateMWConvex:
         :meth:`answer` would have computed lazily, and unfingerprintable or
         non-loss queries are skipped (they keep their scalar path).
 
-        The lane is also registered for hypothesis-side batching: the
-        first hypothesis-minima miss for any lane member batch-solves
-        the whole lane at the current hypothesis version through the
-        same engine pass (see :meth:`_batch_hypothesis_minima`) — that
-        is how a coalesced gateway batch converts queue pressure into
-        the batched-kernel fast path end to end.
+        The lane is also registered for hypothesis-side batching: a
+        hypothesis-minima miss for a lane member batch-solves the lane
+        at the current hypothesis version through the same engine pass
+        (see :meth:`_batch_hypothesis_minima`) — that is how a coalesced
+        gateway batch converts queue pressure into the batched-kernel
+        fast path end to end.
 
         Returns the number of cache entries added.
         """
@@ -437,13 +442,17 @@ class PrivateMWConvex:
 
         self._lane_minima = OrderedDict()
         if self._core is not None:
-            for loss in closed_form_minima(
-                    [q for q in losses if isinstance(q, LossFunction)],
-                    universe=self._data_histogram.universe):
+            candidates = [q for q in losses if isinstance(q, LossFunction)]
+            closed = {id(loss) for loss in closed_form_minima(
+                candidates, universe=self._data_histogram.universe)}
+            for loss in candidates:
+                if id(loss) not in closed and not lockstep_eligible(loss):
+                    continue
                 key = self._loss_key(loss)
                 if key is not None and len(self._lane_minima) < \
                         self.ROUND_CACHE_LIMIT:
-                    self._lane_minima.setdefault(key, loss)
+                    self._lane_minima.setdefault(
+                        key, (loss, id(loss) in closed))
 
         fresh: list[LossFunction] = []
         seen: set[str] = set()
@@ -815,10 +824,12 @@ class PrivateMWConvex:
         if self._core is not None and key is not None:
             minima_key = (key, self._core.version)
             hit = self._hypothesis_minima.get(minima_key)
-            if hit is None and key in self._lane_minima:
-                # A registered lane member missed at this version: solve
-                # the whole *remaining* lane's hypothesis minima in one
-                # shared-moment engine pass, then re-read.
+            lane = self._lane_minima.get(key)
+            if hit is None and lane is not None and (lane[1]
+                                                     or self.halted):
+                # A batchable lane member missed at this version: solve
+                # the *remaining* lane's hypothesis minima in one engine
+                # pass, then re-read.
                 self._batch_hypothesis_minima()
                 hit = self._hypothesis_minima.get(minima_key)
             # Served entries leave the lane, so a mid-lane MW update
@@ -829,14 +840,7 @@ class PrivateMWConvex:
             if hit is not None:
                 self._hypothesis_minima.move_to_end(minima_key)
                 return hit
-        start, steps = None, self.solver_steps
-        if self.warm_start and key is not None:
-            warm = self._warm_starts.get(key)
-            if warm is not None:
-                warm_version, start = warm
-                staleness = self._core.version - warm_version
-                if staleness <= self.WARM_STALENESS_LIMIT:
-                    steps = self.warm_solver_steps
+        start, steps = self._warm_start(key)
         result = minimize_loss(loss, self.hypothesis, steps=steps,
                                start=start)
         if minima_key is not None:
@@ -850,31 +854,52 @@ class PrivateMWConvex:
                 self._warm_starts.popitem(last=False)
         return result
 
+    def _warm_start(self, key: str | None) -> tuple[np.ndarray | None, int]:
+        """``(start, steps)`` for a hypothesis-side solve of ``key``."""
+        start, steps = None, self.solver_steps
+        if self.warm_start and key is not None:
+            warm = self._warm_starts.get(key)
+            if warm is not None:
+                warm_version, start = warm
+                staleness = self._core.version - warm_version
+                if staleness <= self.WARM_STALENESS_LIMIT:
+                    steps = self.warm_solver_steps
+        return start, steps
+
     def _batch_hypothesis_minima(self) -> int:
         """Batch-solve the registered lane's hypothesis minima at the
         current version (one engine pass; see :meth:`prewarm`).
 
+        Closed-form members are always batched. Iterative members join
+        only once the mechanism has halted, when the hypothesis can no
+        longer change and every batched solve will be used; each keeps
+        the warm start and step budget its scalar solve would have had.
         Pure post-processing of the public hypothesis — no privacy
-        event, and each stored result is what the scalar closed-form
-        dispatch would produce up to floating-point reassociation. An MW
-        update bumps the version and the *next* lane miss re-batches the
-        remaining entries, so an update-heavy prefix degrades gracefully
-        toward the scalar path instead of wasting whole-lane solves.
+        event, and each stored result is what the scalar dispatch would
+        produce up to floating-point reassociation. An MW update bumps
+        the version and the *next* lane miss re-batches the remaining
+        entries, so an update-heavy prefix degrades gracefully toward
+        the scalar path instead of wasting whole-lane solves.
 
         Returns the number of entries batch-solved (0 when the lane has
-        fewer than two pending entries — the scalar path, with its
-        warm-start advantage, handles singletons).
+        fewer than two pending entries — the scalar path handles
+        singletons).
         """
         from repro.engine import batch_data_minima
 
         version = self._core.version
-        pending = [(key, loss) for key, loss in self._lane_minima.items()
-                   if (key, version) not in self._hypothesis_minima]
+        halted = self.halted
+        pending = [(key, loss) for key, (loss, closed)
+                   in self._lane_minima.items()
+                   if (closed or halted)
+                   and (key, version) not in self._hypothesis_minima]
         if len(pending) < 2:
             return 0
+        warm = [self._warm_start(key) for key, _ in pending]
         results = batch_data_minima([loss for _, loss in pending],
                                     self.hypothesis,
-                                    solver_steps=self.solver_steps)
+                                    solver_steps=[steps for _, steps in warm],
+                                    starts=[start for start, _ in warm])
         for (key, _), result in zip(pending, results):
             self._hypothesis_minima[(key, version)] = result
             if self.warm_start:

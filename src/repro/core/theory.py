@@ -11,6 +11,35 @@ harness can print *paper-vs-measured* tables:
   loss-family rows (up to the suppressed polylog/constant factors —
   formulas are evaluated with leading constant 1 and natural logs, which
   is what "shape reproduction" compares against).
+
+Inner solves and the sparse-vector error query
+----------------------------------------------
+Sparse vector is private only if each error query
+``q_j(D) = l_D(theta_hat_j) - min_theta l_D(theta)`` is a *fixed*
+function of the data with sensitivity at most ``3S/n`` (Section 3.4.2;
+:meth:`repro.core.config.PMWConfig.sensitivity`). ``theta_hat_j`` comes
+from the public hypothesis alone; the minimum is whatever value the
+inner solver reaches on ``D``. The lockstep GLM solver
+(:mod:`repro.optimize.lockstep`), which now computes both sides for
+GLMs over an L2 ball and batches them across queries, computes the same
+function of ``D`` the scalar solver did, so the argument is unchanged:
+
+- **Fixed step budget.** Every column runs exactly its budget. The
+  budget is fixed before the solve from public state (``solver_steps``,
+  and for hypothesis-side solves the warm-start rule over public
+  hypothesis versions). It does not depend on the data, and nothing
+  stops early on a data-dependent criterion.
+- **Independent columns.** Each column keeps its own step size, suffix
+  average and best-seen iterate. No step size, stop rule or reduction is
+  shared across the batch, so one query's value cannot depend on another
+  query's trajectory on ``D``. Each column's arithmetic is a separate
+  stacked product, so it is bitwise the same at any batch width and
+  position.
+- **Deterministic.** The result is a deterministic function of
+  ``(loss, D, start, steps)`` — hence of ``(loss, D, batch)`` — with no
+  random draws, so ``q_j`` is a function of ``D`` as the analysis needs.
+  Batching a lane's data-side minima ahead of its rounds (``prewarm``)
+  changes when the value is computed, never what it is.
 """
 
 from __future__ import annotations

@@ -12,17 +12,23 @@ the ROADMAP's "fast as the hardware allows" north star targets:
   matmul replaces ``B`` per-query feature products), and shared moment
   kernels for squared-family closed forms.
 - :mod:`repro.engine.batch` — :func:`compile_batch` groups a
-  heterogeneous batch by kernel family; :func:`batch_answers`,
-  :func:`batch_loss_on`, and :func:`batch_data_minima` evaluate it in one
-  vectorized pass per family, falling back to the scalar path for
-  anything a kernel cannot prove it handles.
+  heterogeneous batch by kernel family; :func:`batch_answers` and
+  :func:`batch_loss_on` evaluate it in one vectorized pass per family.
+  :func:`batch_data_minima` solves closed forms through shared moments
+  and every other GLM over an L2 ball, across link families, in one
+  lockstep projected-subgradient run
+  (:func:`repro.optimize.lockstep.lockstep_minimize`: one margin matrix
+  per step feeds every column's value and gradient). Anything no kernel
+  handles falls back to the scalar path.
 - :mod:`repro.engine.versioned` — :class:`VersionedBatchEvaluator` keeps
   per-entry version stamps against an evolving hypothesis core, so only
   stale answers recompute across MW updates (plus a fused
   update-then-evaluate call for whole-batch consumers).
 
 Consumers: :class:`~repro.core.pmw_cm.PrivateMWConvex` pre-warms its
-data-side minimization cache through :func:`batch_data_minima`;
+data-side minimization cache through :func:`batch_data_minima`, and
+batches a lane's hypothesis-side minima through it too (closed forms at
+any time, lockstep GLMs once the mechanism has halted);
 :class:`~repro.core.pmw_linear.PrivateMWLinear` answers whole streams
 through the loss-matrix layout (recomputing only the suffix after each MW
 update); the serving layer's batch planner hands mechanism lanes to the

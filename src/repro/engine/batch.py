@@ -17,6 +17,12 @@ group             members                                        kernel
 ``fallback``      everything else                                per-query
 ================  =============================================  ===========
 
+Data minima take one of three routes per query: a shared closed form
+(``linear-cm``; squared GLMs over a ball on a labeled universe), one
+lockstep solve (:func:`repro.optimize.lockstep.lockstep_minimize`) for
+every other GLM over an L2 ball *across* link families, or
+:func:`~repro.optimize.minimize.minimize_loss` for the rest.
+
 Grouping is by *exact* type plus the link parameters the kernel depends
 on, so a subclass with an overridden link never silently rides a kernel
 that does not match its math — it falls back to the per-query path, which
@@ -39,12 +45,16 @@ from repro.backend import backend_of
 from repro.data.histogram import Histogram
 from repro.engine import kernels
 from repro.exceptions import ValidationError
-from repro.losses.hinge import HingeLoss, HuberLoss
 from repro.losses.linear import LinearQuery, LinearQueryAsCM
-from repro.losses.logistic import LogisticLoss
 from repro.losses.squared import SquaredLoss
 from repro.obs import trace
 from repro.optimize.exact import minimize_quadratic_over_ball
+from repro.optimize.lockstep import (
+    GLM_BLOCK_ROWS,
+    glm_family,
+    lockstep_eligible,
+    lockstep_minimize,
+)
 from repro.optimize.minimize import MinimizeResult, minimize_loss
 from repro.optimize.projections import L2Ball
 
@@ -63,15 +73,9 @@ _LINEAR_CM = "linear-cm"
 _GLM = "glm"
 _FALLBACK = "fallback"
 
-#: GLM families with a safe margin-matrix kernel, keyed by *exact* type.
-#: The key function returns the link parameters that must match for two
-#: instances to share one vectorized link evaluation.
-_GLM_FAMILIES = {
-    SquaredLoss: lambda loss: (loss.normalization,),
-    LogisticLoss: lambda loss: (),
-    HingeLoss: lambda loss: (),
-    HuberLoss: lambda loss: (loss.delta,),
-}
+_CLOSED = "closed"
+_LOCKSTEP = "lockstep"
+_SCALAR = "scalar"
 
 
 def _family_key(query):
@@ -79,10 +83,28 @@ def _family_key(query):
         return (_LINEAR,)
     if type(query) is LinearQueryAsCM:
         return (_LINEAR_CM,)
-    params = _GLM_FAMILIES.get(type(query))
-    if params is not None:
-        return (_GLM, type(query), params(query))
+    family = glm_family(query)
+    if family is not None:
+        return (_GLM, *family)
     return (_FALLBACK,)
+
+
+def _minimum_route(query, labeled: bool) -> str:
+    """How a batch computes ``query``'s data minimum (see module doc).
+
+    ``labeled`` says whether the target universe carries labels: the
+    squared closed form needs them, and without them the lockstep solve
+    raises the same error the scalar path does.
+    """
+    kind = _family_key(query)[0]
+    if kind == _LINEAR_CM:
+        return _CLOSED
+    if (type(query) is SquaredLoss and labeled
+            and isinstance(query.domain, L2Ball)):
+        return _CLOSED
+    if kind == _GLM and lockstep_eligible(query):
+        return _LOCKSTEP
+    return _SCALAR
 
 
 @dataclass
@@ -195,18 +217,31 @@ class CompiledBatch:
                 ]
         return out
 
-    def data_minima(self, histogram: Histogram, *,
-                    solver_steps: int = 400) -> list[MinimizeResult]:
+    def data_minima(self, histogram: Histogram, *, solver_steps=400,
+                    starts=None) -> list[MinimizeResult]:
         """Batched ``argmin_theta l(theta; D)`` per query.
 
         Closed forms are batched through moment kernels
         (``linear-cm`` exactly, squared-family GLMs via one shared
-        universe-sized moment computation); every other loss goes through
-        the same :func:`~repro.optimize.minimize.minimize_loss` call the
-        scalar path makes, so results never diverge from it by more than
-        reassociated floating point.
+        universe-sized moment computation). Every other GLM over an L2
+        ball, whatever its link family, joins one lockstep solve; the
+        remaining losses go through the same
+        :func:`~repro.optimize.minimize.minimize_loss` call the scalar
+        path makes. ``solver_steps`` is one budget or one per query and
+        ``starts`` optional warm starts aligned with the queries; both
+        matter only to iterative solves.
         """
-        results: list[MinimizeResult | None] = [None] * len(self.queries)
+        count = len(self.queries)
+        budgets = ([solver_steps] * count if np.ndim(solver_steps) == 0
+                   else list(solver_steps))
+        starts = [None] * count if starts is None else list(starts)
+        if len(budgets) != count or len(starts) != count:
+            raise ValidationError(
+                f"solver_steps and starts must align with the {count} "
+                f"queries")
+        labeled = histogram.universe.labels is not None
+        results: list[MinimizeResult | None] = [None] * count
+        lockstep: list[int] = []
         for group in self._groups:
             if group.kind == _LINEAR:
                 raise ValidationError(
@@ -214,15 +249,32 @@ class CompiledBatch:
                     "answer via linear_answers"
                 )
             if group.kind == _LINEAR_CM:
-                minima = _linear_cm_minima(group, histogram)
-            elif (group.kind == _GLM
-                    and type(group.members[0]) is SquaredLoss):
-                minima = _squared_minima(group.members, histogram,
-                                         solver_steps=solver_steps)
-            else:
-                minima = [minimize_loss(loss, histogram, steps=solver_steps)
-                          for loss in group.members]
-            for index, result in zip(group.indices, minima):
+                for index, result in zip(
+                        group.indices, _linear_cm_minima(group, histogram)):
+                    results[index] = result
+                continue
+            closed = []
+            for index, loss in zip(group.indices, group.members):
+                route = _minimum_route(loss, labeled)
+                if route == _CLOSED:
+                    closed.append(index)
+                elif route == _LOCKSTEP:
+                    lockstep.append(index)
+                else:
+                    results[index] = minimize_loss(
+                        loss, histogram, steps=budgets[index],
+                        start=starts[index])
+            if closed:
+                minima = _squared_minima(
+                    [self.queries[index] for index in closed], histogram)
+                for index, result in zip(closed, minima):
+                    results[index] = result
+        if lockstep:
+            minima = lockstep_minimize(
+                [self.queries[index] for index in lockstep], histogram,
+                steps=[budgets[index] for index in lockstep],
+                starts=[starts[index] for index in lockstep])
+            for index, result in zip(lockstep, minima):
                 results[index] = result
         return results
 
@@ -262,21 +314,17 @@ def _linear_cm_minima(group: _Group,
     ]
 
 
-#: Universe rows per block in the margin-matrix evaluation. The block's
-#: margin and value matrices (``block × B``) stay cache-resident, so the
-#: batch streams the universe points exactly once instead of materializing
-#: (and re-reading) two ``|X| × B`` temporaries — this blocking, not the
-#: matmul alone, is where the ≥3x of ``benchmarks/bench_batch_engine.py``
-#: comes from on cheap-link families.
-GLM_BLOCK_ROWS = 2048
-
-
 def _glm_values(losses, thetas, histogram: Histogram) -> np.ndarray:
     """Margin-matrix evaluation of a same-link GLM group, universe-blocked.
 
-    Per block of universe rows: one ``block×d @ d×B`` matmul, one
-    vectorized link evaluation, one ``wᵀV`` accumulation. Summation is
-    reassociated across blocks (``~1e-15`` vs the scalar path).
+    Per block of :data:`~repro.optimize.lockstep.GLM_BLOCK_ROWS` universe
+    rows: one ``block×d @ d×B`` matmul, one vectorized link evaluation,
+    one ``wᵀV`` accumulation. The block's matrices stay cache-resident,
+    so the batch streams the universe points once instead of
+    materializing two ``|X| × B`` temporaries — this blocking, not the
+    matmul alone, is where the ≥3x of ``benchmarks/bench_batch_engine.py``
+    comes from on cheap-link families. Summation is reassociated across
+    blocks (``~1e-15`` vs the scalar path).
     """
     universe = histogram.universe
     prototype = losses[0]
@@ -302,31 +350,24 @@ def _glm_values(losses, thetas, histogram: Histogram) -> np.ndarray:
     return out
 
 
-def _squared_minima(losses, histogram: Histogram, *,
-                    solver_steps: int) -> list[MinimizeResult]:
+def _squared_minima(losses, histogram: Histogram) -> list[MinimizeResult]:
     """Squared-loss data minima sharing one universe-sized moment pass.
 
     ``E[(x Rᵀ)(x Rᵀ)ᵀ] = R E[x xᵀ] Rᵀ`` and ``E[y (R x)] = R E[y x]``, so
     the batch pays for the moments once and each member solves a ``d×d``
-    trust-region subproblem. Members without the closed form's
-    preconditions (non-ball domain, unlabeled universe) fall back to
-    :func:`minimize_loss`, exactly as the scalar dispatch would.
+    trust-region subproblem. Every member meets the closed form's
+    preconditions (ball domain, labeled universe; see
+    :func:`_minimum_route`).
     """
     universe = histogram.universe
     labels = universe.labels
-    base_second = None
-    results = []
     for loss in losses:
         loss.check_universe_dim(universe)  # scalar-path error parity
-        if not isinstance(loss.domain, L2Ball) or labels is None:
-            results.append(minimize_loss(loss, histogram,
-                                         steps=solver_steps))
-            continue
-        if base_second is None:
-            base_second = kernels.second_moment(universe.points, histogram)
-            base_cross = kernels.cross_moment(universe.points, labels,
-                                              histogram)
-            label_second = float(histogram.weights @ (labels * labels))
+    base_second = kernels.second_moment(universe.points, histogram)
+    base_cross = kernels.cross_moment(universe.points, labels, histogram)
+    label_second = float(histogram.weights @ (labels * labels))
+    results = []
+    for loss in losses:
         rotation = loss.rotation
         if rotation is None:
             second, cross = base_second, base_cross
@@ -363,40 +404,35 @@ def batch_loss_on(losses, thetas, histogram: Histogram) -> np.ndarray:
         return compile_batch(losses).loss_values(thetas, histogram)
 
 
-def batch_data_minima(losses, histogram: Histogram, *,
-                      solver_steps: int = 400) -> list[MinimizeResult]:
-    """Batched data-side minimizations (closed forms vectorized)."""
+def batch_data_minima(losses, histogram: Histogram, *, solver_steps=400,
+                      starts=None) -> list[MinimizeResult]:
+    """Batched data-side minimizations: closed forms vectorized, every
+    other GLM over an L2 ball in one lockstep solve (see
+    :meth:`CompiledBatch.data_minima`)."""
     with trace.span("engine.batch_minima", losses=len(losses)):
-        return compile_batch(losses).data_minima(histogram,
-                                                 solver_steps=solver_steps)
+        return compile_batch(losses).data_minima(
+            histogram, solver_steps=solver_steps, starts=starts)
 
 
 def closed_form_minima(queries, *, universe=None):
     """The subset of ``queries`` whose batched :func:`batch_data_minima`
     dispatch is a *shared* closed-form kernel (squared-family GLMs via
-    one moment computation, embedded linear queries) rather than the
-    per-query fallback solver.
+    one moment computation, embedded linear queries).
 
-    Consumers use this to decide which lane entries are worth
-    batch-minimizing eagerly: for fallback-family losses an eager batch
-    would pay the same per-query solves the lazy path pays — possibly
-    more, since the lazy path can warm-start — so eager batching only
-    wins where a kernel genuinely shares work. The filter mirrors
-    :func:`_squared_minima`'s own preconditions: squared losses over a
-    non-ball domain fall back per query, as do all of them when the
-    ``universe`` the consumer will solve against carries no labels
-    (pass it to enforce that; ``None`` skips the label check).
+    Those are worth batch-minimizing eagerly at any time: one moment
+    pass serves the whole subset. The other GLMs over an L2 ball batch
+    too, in one lockstep solve, but each column still pays its full step
+    budget; consumers that can warm-start single solves (the hypothesis
+    side of :class:`~repro.core.pmw_cm.PrivateMWConvex` before it halts)
+    batch only this subset eagerly. The filter mirrors
+    :func:`_minimum_route`: squared losses over a non-ball domain are
+    solved per query, as are all of them when the ``universe`` the
+    consumer will solve against carries no labels (pass it to enforce
+    that; ``None`` skips the label check).
     """
     labeled = universe is None or universe.labels is not None
-    keep = []
-    for query in queries:
-        kind = _family_key(query)[0]
-        if kind == _LINEAR_CM:
-            keep.append(query)
-        elif (kind == _GLM and type(query) is SquaredLoss and labeled
-                and isinstance(query.domain, L2Ball)):
-            keep.append(query)
-    return keep
+    return [query for query in queries
+            if _minimum_route(query, labeled) == _CLOSED]
 
 
 def dedupe_by_fingerprint(queries, *, skip=()):

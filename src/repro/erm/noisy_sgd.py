@@ -29,6 +29,7 @@ from repro.dp.mechanisms import gaussian_sigma
 from repro.erm.oracle import SingleQueryOracle
 from repro.exceptions import LossSpecificationError
 from repro.losses.base import LossFunction
+from repro.optimize.lockstep import GLMObjectives, glm_family
 from repro.utils.rng import as_generator
 
 
@@ -86,11 +87,20 @@ class NoisyGradientDescentOracle(SingleQueryOracle):
         noise_norm = sigma * math.sqrt(domain.dim)
         effective_lipschitz = lipschitz + noise_norm
 
+        # Fused-link GLMs validate labels once and take each gradient
+        # from one margin pass (R Xᵀ(w ⊙ phi'(X Rᵀ theta))); the gradient
+        # does not touch the generator, so the noise draws are unchanged.
+        if glm_family(loss) is not None:
+            gradient_of = GLMObjectives([loss], histogram).gradient
+        else:
+            def gradient_of(point):
+                return loss.gradient_on(point, histogram)
+
         theta = domain.center()
         total = np.zeros_like(theta)
         count = 0
         for t in range(1, self.steps + 1):
-            gradient = loss.gradient_on(theta, histogram)
+            gradient = gradient_of(theta)
             gradient = gradient + generator.normal(0.0, sigma, size=gradient.shape)
             if loss.strong_convexity > 0.0:
                 step = 1.0 / (loss.strong_convexity * t)

@@ -67,6 +67,16 @@ class GeneralizedLinearLoss(LossFunction):
         """``d phi / d z`` elementwise (any subgradient selection is fine)."""
         raise NotImplementedError
 
+    def validate_labels(self, labels: np.ndarray | None) -> None:
+        """Raise the link's label error, if any, once for a whole solve.
+
+        The lockstep solver (:mod:`repro.optimize.lockstep`) validates
+        labels here and then calls the link's ``link_terms(margins,
+        labels) -> (phi, phi')``: the same formulas as :meth:`link` and
+        :meth:`link_derivative` from one pass over the margins, without
+        their per-call label checks.
+        """
+
     # -- LossFunction implementation -------------------------------------------
 
     def values(self, theta: np.ndarray, universe: Universe) -> np.ndarray:

@@ -42,6 +42,14 @@ class HingeLoss(GeneralizedLinearLoss):
         active = labels * margins <= 1.0
         return np.where(active, -labels, 0.0)
 
+    def validate_labels(self, labels: np.ndarray | None) -> None:
+        self._check_labels(labels)
+
+    def link_terms(self, margins: np.ndarray, labels: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        t = labels * margins
+        return np.maximum(0.0, 1.0 - t), -labels * (t <= 1.0)
+
     @staticmethod
     def _check_labels(labels: np.ndarray | None) -> None:
         if labels is None:
@@ -79,3 +87,11 @@ class HuberLoss(GeneralizedLinearLoss):
         if labels is None:
             raise LossSpecificationError("huber loss requires labels")
         return np.clip(margins - labels, -self.delta, self.delta)
+
+    def link_terms(self, margins: np.ndarray, labels: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        residuals = margins - labels
+        absolute = np.abs(residuals)
+        values = np.where(absolute <= self.delta, 0.5 * residuals * residuals,
+                          self.delta * (absolute - 0.5 * self.delta))
+        return values, np.clip(residuals, -self.delta, self.delta)

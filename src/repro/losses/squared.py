@@ -55,6 +55,12 @@ class SquaredLoss(GeneralizedLinearLoss):
                         labels: np.ndarray | None) -> np.ndarray:
         return 2.0 * self.normalization * (margins - labels)
 
+    def link_terms(self, margins: np.ndarray, labels: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        residuals = margins - labels
+        return (self.normalization * residuals * residuals,
+                2.0 * self.normalization * residuals)
+
     def exact_minimizer(self, histogram: Histogram) -> np.ndarray | None:
         """Closed-form ridge-free least squares over an L2-ball domain.
 

@@ -5,8 +5,13 @@
 order:
 
 1. the loss's own ``exact_minimizer`` (closed form), if it provides one;
-2. projected subgradient descent with a step schedule driven by the loss's
-   declared Lipschitz / strong-convexity traits, with a final polish pass.
+2. for the squared, logistic, hinge and Huber GLMs over an L2 ball, the
+   lockstep solver (:mod:`repro.optimize.lockstep`) at width 1;
+3. otherwise projected subgradient descent with a step schedule driven by
+   the loss's declared Lipschitz / strong-convexity traits.
+
+Steps 2 and 3 run the same iteration; the lockstep solver validates once
+and evaluates value and gradient from one margin pass per step.
 
 The result records the achieved objective so callers can compute the error
 quantities of Definitions 2.2 and 2.3 without re-evaluating.
@@ -20,6 +25,7 @@ import numpy as np
 
 from repro.data.histogram import Histogram
 from repro.optimize.gradient_descent import projected_gradient_descent
+from repro.optimize.lockstep import lockstep_eligible, lockstep_minimize
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,9 @@ def minimize_loss(loss, histogram: Histogram, *, steps: int = 400,
     if exact_theta is not None:
         theta = loss.domain.project(np.asarray(exact_theta, dtype=float))
         return MinimizeResult(theta, float(loss.loss_on(theta, histogram)), True)
+    if lockstep_eligible(loss):
+        return lockstep_minimize([loss], histogram, steps=steps,
+                                 starts=[start])[0]
 
     lipschitz = loss.lipschitz_bound if loss.lipschitz_bound else 1.0
     theta = projected_gradient_descent(

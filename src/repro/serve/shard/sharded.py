@@ -186,8 +186,12 @@ class _ShardHandle:
         # Death accounting is separate from ``alive``: a caller thread
         # that trips over the corpse (EOF mid-call) marks the handle
         # dead immediately, but only the supervisor's _note_death may
-        # count the death — exactly once per handle incarnation.
+        # count the death — exactly once per handle incarnation. The
+        # event is set once that accounting (segment release and health
+        # write included) is complete; every other _note_death caller
+        # for this incarnation waits on it.
         self.death_counted = False
+        self.death_handled = threading.Event()
 
     def call(self, verb: str, payload=None, *, deadline: float | None = None,
              flags: int = 0, timeout: float | None = None):
@@ -365,6 +369,14 @@ class ShardedService:
         self._spawn_serial = 0
         self._ctx = _mp_context()
         self._lock = threading.Lock()
+        # Serializes health.json writes (monitor, restore, routed-call
+        # success and kill_shard can all write one shard's file); each
+        # write gets its own tmp name.
+        self._health_lock = threading.Lock()
+        self._health_writes = 0
+        # Test hook: called with the handle by whichever thread claims a
+        # death, after the claim and before its side effects.
+        self._death_claimed_hook = None
         self._handles: dict[str, _ShardHandle] = {}
         self._sessions: dict[str, _SessionStub] = {}
         self._session_counter = 0
@@ -473,19 +485,23 @@ class ShardedService:
         shard_dir = self.shard_dir(shard_id)
         os.makedirs(shard_dir, exist_ok=True)
         path = os.path.join(shard_dir, HEALTH_FILE)
-        record = {
-            "format": _HEALTH_FORMAT,
-            "shard_id": shard_id,
-            "breaker": self._breakers[shard_id].state,
-            "deaths": self._death_counts[shard_id],
-            "restarts": self._restart_counts[shard_id],
-            "last_death_unix": self._last_death_unix[shard_id],
-            "updated_unix": time.time(),
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(record, handle)
-        os.replace(tmp, path)
+        # The record is read under the same lock that orders the
+        # writes, so the last write to land carries the latest state.
+        with self._health_lock:
+            record = {
+                "format": _HEALTH_FORMAT,
+                "shard_id": shard_id,
+                "breaker": self._breakers[shard_id].state,
+                "deaths": self._death_counts[shard_id],
+                "restarts": self._restart_counts[shard_id],
+                "last_death_unix": self._last_death_unix[shard_id],
+                "updated_unix": time.time(),
+            }
+            self._health_writes += 1
+            tmp = f"{path}.{os.getpid()}.{self._health_writes}.tmp"
+            with open(tmp, "w", encoding="utf-8") as handle:
+                json.dump(record, handle)
+            os.replace(tmp, path)
 
     def breaker_states(self) -> dict[str, str]:
         """``{shard_id: breaker state}`` for the whole deployment."""
@@ -525,26 +541,39 @@ class ShardedService:
     def _note_death(self, handle: _ShardHandle) -> None:
         """Record a shard death exactly once per handle incarnation
         (the handle may already be marked dead by a caller thread that
-        got EOF mid-call — the counter must still tick)."""
+        got EOF mid-call — the counter must still tick).
+
+        Every caller returns only after the accounting is complete: the
+        thread that claims the death does it, any other waits for it.
+        So :meth:`kill_shard` stays synchronous even when the monitor
+        saw the corpse first."""
         with self._lock:
-            if handle.death_counted:
-                return
-            handle.death_counted = True
-            handle.mark_dead()
-            self.registry.counter(
-                "shard.deaths", {"shard": handle.shard_id}).inc()
-            self.registry.gauge(
-                "shard.alive", {"shard": handle.shard_id}).set(0)
-            self._death_counts[handle.shard_id] += 1
-            self._last_death_unix[handle.shard_id] = time.time()
-            self._breakers[handle.shard_id].trip()
-        # The dead incarnation's shared-memory segment is garbage the
-        # moment the corpse is seen: the worker only ever held an
-        # attachment (reclaimed by the kernel with the process), so the
-        # supervisor unlinking here is what guarantees a SIGKILL'd
-        # worker never strands a segment.
-        handle.release_shm()
-        self._write_health(handle.shard_id)
+            claimed = not handle.death_counted
+            if claimed:
+                handle.death_counted = True
+                handle.mark_dead()
+                self.registry.counter(
+                    "shard.deaths", {"shard": handle.shard_id}).inc()
+                self.registry.gauge(
+                    "shard.alive", {"shard": handle.shard_id}).set(0)
+                self._death_counts[handle.shard_id] += 1
+                self._last_death_unix[handle.shard_id] = time.time()
+                self._breakers[handle.shard_id].trip()
+        if not claimed:
+            handle.death_handled.wait()
+            return
+        try:
+            if self._death_claimed_hook is not None:
+                self._death_claimed_hook(handle)
+            # The dead incarnation's shared-memory segment is garbage
+            # the moment the corpse is seen: the worker only ever held
+            # an attachment (reclaimed by the kernel with the process),
+            # so the supervisor unlinking here is what guarantees a
+            # SIGKILL'd worker never strands a segment.
+            handle.release_shm()
+            self._write_health(handle.shard_id)
+        finally:
+            handle.death_handled.set()
 
     def kill_shard(self, shard_id: str) -> int:
         """SIGKILL a shard process (chaos primitive). Returns the pid.
@@ -556,7 +585,10 @@ class ShardedService:
         """
         handle = self._handle(shard_id)
         pid = handle.process.pid
-        os.kill(pid, signal.SIGKILL)
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # already dead (and reaped): account for it all the same
         handle.process.join()
         self._note_death(handle)
         return pid
