@@ -179,8 +179,11 @@ def cm_stream_prewarm(universe_points=6_000, d=6, k=BATCH):
                   max_updates=8, solver_steps=60)
 
     def run(prewarm):
+        # A dataset copy per timed run: mechanisms over one Dataset object
+        # share inner-solve minima, so a later run would reuse an earlier
+        # one's.
         mechanism = PrivateMWConvex(
-            task.dataset, NonPrivateOracle(solver_steps=60), rng=11,
+            task.dataset.copy(), NonPrivateOracle(solver_steps=60), rng=11,
             **params)
         return mechanism.answer_all(losses, on_halt="hypothesis",
                                     prewarm=prewarm)

@@ -166,7 +166,9 @@ def arrival_order(sids, streams):
 
 def run_naive(dataset, streams, analysts, *, mechanism, params, rng=17):
     """Status quo ante: one dispatcher, blocking submit per request."""
-    service = PMWService(dataset, rng=rng)
+    # A dataset copy per timed run: mechanisms over one Dataset object
+    # share inner-solve minima, so a later run would reuse an earlier one's.
+    service = PMWService(dataset.copy(), rng=rng)
     sids = open_sessions(service, mechanism, analysts, params)
     requests = arrival_order(sids, streams)
     answers = {sid: [] for sid in sids}
@@ -182,7 +184,7 @@ def run_naive(dataset, streams, analysts, *, mechanism, params, rng=17):
 def run_gateway(dataset, streams, analysts, *, mechanism, params, workers,
                 max_coalesce=32, rng=17):
     """N analyst threads flooding a gateway concurrently."""
-    service = PMWService(dataset, rng=rng)
+    service = PMWService(dataset.copy(), rng=rng)  # see run_naive
     sids = open_sessions(service, mechanism, analysts, params)
     futures = {sid: [] for sid in sids}
     values = {}

@@ -108,8 +108,11 @@ def cm_hot_loop(universe_size, *, distinct=8, repeats=24, solver_steps=100,
                   noise_multiplier=0.0)
 
     def run(versioned):
+        # A dataset copy per timed run: mechanisms over one Dataset object
+        # share inner-solve minima, so a later run would reuse an earlier
+        # one's.
         mechanism = PrivateMWConvex(
-            dataset, NonPrivateOracle(solver_steps=solver_steps), rng=3,
+            dataset.copy(), NonPrivateOracle(solver_steps=solver_steps), rng=3,
             versioned_core=versioned, **params)
         answers = mechanism.answer_all(stream, on_halt="hypothesis",
                                        prewarm=True)

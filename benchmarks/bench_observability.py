@@ -127,7 +127,11 @@ def run_load(dataset, streams, sizes, params, *, instrument,
         trace.install(registry=registry)
         metrics = GatewayMetrics(registry=registry)
     try:
-        service = PMWService(dataset, ledger_path=ledger_path, rng=rng)
+        # A dataset copy per pass: mechanisms over one Dataset object
+        # share inner-solve minima, so a later pass would reuse an
+        # earlier one's.
+        service = PMWService(dataset.copy(), ledger_path=ledger_path,
+                             rng=rng)
         sids = [service.open_session("pmw-convex",
                                      analyst=f"analyst-{index}", **params)
                 for index in range(sizes["analysts"])]
@@ -219,7 +223,7 @@ def run_serial(dataset, streams, sizes, params, *, instrument, rng=17):
     if instrument:
         trace.install(registry=MetricsRegistry())
     try:
-        service = PMWService(dataset, rng=rng)
+        service = PMWService(dataset.copy(), rng=rng)  # see run_load
         sids = [service.open_session("pmw-convex",
                                      analyst=f"analyst-{index}", **params)
                 for index in range(sizes["analysts"])]

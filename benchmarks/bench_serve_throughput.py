@@ -69,8 +69,10 @@ def _naive_time(task, stream):
     ``bench_hot_loop.py``); leaving it on here would fold E18's win into
     the baseline and understate the serving layer's contribution.
     """
+    # A dataset copy per timed run: mechanisms over one Dataset object
+    # share inner-solve minima, so a later run would reuse an earlier one's.
     mechanism = PrivateMWConvex(
-        task.dataset, NonPrivateOracle(solver_steps=60), rng=3,
+        task.dataset.copy(), NonPrivateOracle(solver_steps=60), rng=3,
         versioned_core=False, **MECHANISM_PARAMS,
     )
     start = time.perf_counter()
@@ -79,7 +81,7 @@ def _naive_time(task, stream):
 
 
 def _service_time(task, stream, sessions=1, max_workers=None):
-    service = PMWService(task.dataset, rng=3)
+    service = PMWService(task.dataset.copy(), rng=3)
     sids = [
         service.open_session("pmw-convex", oracle="non-private",
                              **MECHANISM_PARAMS)

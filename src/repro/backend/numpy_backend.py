@@ -13,7 +13,10 @@ Reductions that feed normalizers and sampling tables (:meth:`total_mass`,
 :meth:`build_cdf`, :meth:`cumsum`) accumulate in ``float64`` — a
 ``float32`` cumsum over ``|X| = 10^6`` entries drifts to ``~1e-4``,
 well past the ``1e-6`` agreement contract, while per-element arithmetic
-stays comfortably inside it.
+stays comfortably inside it. The squared-family moments
+(:meth:`second_moment`, :meth:`cross_moment`) run in ``float64`` too:
+in ``float32`` a moment of size ~3 already errs by ``~1e-6``, so only
+the weights' ``float32`` storage rounds there.
 """
 
 from __future__ import annotations
@@ -167,6 +170,19 @@ class Float32Backend(NumpyBackend):
 
     def cumsum(self, values) -> np.ndarray:
         return np.cumsum(values, dtype=np.float64)
+
+    def second_moment(self, features, weights):
+        from repro.losses.squared import weighted_second_moment
+
+        return weighted_second_moment(np.asarray(features, np.float64),
+                                      np.asarray(weights, np.float64))
+
+    def cross_moment(self, features, weights, labels):
+        from repro.losses.squared import weighted_cross_moment
+
+        return weighted_cross_moment(np.asarray(features, np.float64),
+                                     np.asarray(weights, np.float64),
+                                     np.asarray(labels, np.float64))
 
 
 __all__ = ["Float32Backend", "NumpyBackend"]

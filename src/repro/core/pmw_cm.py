@@ -36,6 +36,7 @@ from repro.data.sharded import hypothesis_histogram
 from repro.dp.accountant import PrivacyAccountant, restore_accountant
 from repro.dp.composition import PrivacyParameters, advanced_composition
 from repro.dp.sparse_vector import SparseVector
+from repro.engine.memo import shared_minima
 from repro.erm.oracle import SingleQueryOracle
 from repro.exceptions import (
     LossSpecificationError,
@@ -81,8 +82,9 @@ class PrivateMWConvex:
     ----------------
     DATA_MINIMA_LIMIT:
         LRU bound on the per-mechanism cache of data-side minimizations
-        (one entry per distinct loss fingerprint). Eviction only costs a
-        recomputation; correctness is unaffected.
+        (one entry per distinct loss fingerprint), and on the minima all
+        mechanisms over one dataset share (:mod:`repro.engine.memo`).
+        Eviction only costs a recomputation; correctness is unaffected.
     ROUND_CACHE_LIMIT:
         LRU bound on the per-round breakdown cache, keyed by
         ``(loss fingerprint, hypothesis version)``. A repeated query at
@@ -245,6 +247,12 @@ class PrivateMWConvex:
         # Fallback for losses whose state cannot be fingerprinted (e.g.
         # stored callables): identity-keyed, GC-bound, never serialized.
         self._data_minima_by_identity = weakref.WeakKeyDictionary()
+        # Minima every mechanism over this dataset object shares (see
+        # repro.engine.memo): data-side solves, and cold solves on the
+        # uniform prior. Hits are copied into the per-session tables
+        # above, so snapshots and warm starts read exactly as if this
+        # session had solved them itself.
+        self._shared = shared_minima(dataset, limit=self.DATA_MINIMA_LIMIT)
 
     # -- public state ---------------------------------------------------------
 
@@ -424,10 +432,12 @@ class PrivateMWConvex:
         batch of pending queries can pay for it up front in one vectorized
         pass (:func:`repro.engine.batch_data_minima`): closed-form families
         collapse into shared moment computations instead of one
-        universe-sized solve per query. Purely an evaluation-order change —
-        no privacy event happens here, the cached values are exactly what
-        :meth:`answer` would have computed lazily, and unfingerprintable or
-        non-loss queries are skipped (they keep their scalar path).
+        universe-sized solve per query. Minima another session over the
+        same dataset already solved come from the shared memo instead.
+        Purely an evaluation-order change — no privacy event happens
+        here, the cached values are exactly what :meth:`answer` would have
+        computed lazily, and unfingerprintable or non-loss queries are
+        skipped (they are solved in their own round).
 
         The lane is also registered for hypothesis-side batching: a
         hypothesis-minima miss for a lane member batch-solves the lane
@@ -454,7 +464,7 @@ class PrivateMWConvex:
                     self._lane_minima.setdefault(
                         key, (loss, id(loss) in closed))
 
-        fresh: list[LossFunction] = []
+        missing: list[tuple[str, LossFunction]] = []
         seen: set[str] = set()
         cached_needed = 0
         for loss in losses:
@@ -474,27 +484,37 @@ class PrivateMWConvex:
                 self._data_minima.move_to_end(key)
                 cached_needed += 1
                 continue
-            fresh.append(loss)
+            missing.append((key, loss))
         # Never compute more than the cache can hold alongside the lane's
         # already-cached entries: anything past the LRU bound would be
         # evicted before the stream reaches it and solved again lazily —
         # keeping the stream prefix means the first queries to run are
         # exactly the ones warmed.
-        fresh = fresh[:max(0, self.DATA_MINIMA_LIMIT - cached_needed)]
-        if not fresh:
+        missing = missing[:max(0, self.DATA_MINIMA_LIMIT - cached_needed)]
+        if not missing:
             return 0
-        results = batch_data_minima(fresh, self._data_histogram,
-                                    solver_steps=self.solver_steps)
-        for loss, result in zip(fresh, results):
-            # Stored exactly as answer() stores its lazy computation
-            # (exact=False: cache entries round-trip through snapshots,
-            # which do not persist the exactness of the original dispatch).
-            self._data_minima[loss.fingerprint()] = MinimizeResult(
+        results = {key: self._shared.get(self._data_memo_key(key))
+                   for key, _ in missing}
+        fresh = [(key, loss) for key, loss in missing if results[key] is None]
+        if fresh:
+            solved = batch_data_minima([loss for _, loss in fresh],
+                                       self._data_histogram,
+                                       solver_steps=self.solver_steps)
+            for (key, _), result in zip(fresh, solved):
+                results[key] = self._shared.put(self._data_memo_key(key),
+                                                result)
+        for key, _ in missing:
+            # Stored in lane order exactly as answer() stores its lazy
+            # computation (exact=False: cache entries round-trip through
+            # snapshots, which do not persist the exactness of the
+            # original dispatch), whether solved here or shared.
+            result = results[key]
+            self._data_minima[key] = MinimizeResult(
                 result.theta, result.value, exact=False,
             )
         while len(self._data_minima) > self.DATA_MINIMA_LIMIT:
             self._data_minima.popitem(last=False)
-        return len(fresh)
+        return len(missing)
 
     def answer_all(self, losses, *, on_halt: str = "raise",
                    prewarm: bool = True) -> list[PMWAnswer]:
@@ -794,6 +814,30 @@ class PrivateMWConvex:
         except LossSpecificationError:
             return None
 
+    def _data_memo_key(self, key: str) -> tuple:
+        """Shared-memo key of a data-side minimum (see
+        :mod:`repro.engine.memo`)."""
+        return ("data", self.solver_steps, key)
+
+    def _data_minimum(self, loss: LossFunction,
+                      key: str | None) -> MinimizeResult:
+        """``min_theta l(theta; D)`` on a per-session cache miss: from the
+        shared memo, else solved through the same engine call
+        :meth:`prewarm` makes, so the value never depends on whether the
+        query arrived in a prewarmed lane or alone."""
+        from repro.engine import batch_data_minima
+
+        memo_key = self._data_memo_key(key) if key is not None else None
+        if memo_key is not None:
+            hit = self._shared.get(memo_key)
+            if hit is not None:
+                return hit
+        result = batch_data_minima([loss], self._data_histogram,
+                                   solver_steps=self.solver_steps)[0]
+        if memo_key is not None:
+            result = self._shared.put(memo_key, result)
+        return result
+
     def _round_cache_get(self, key: str | None) -> DatabaseErrorBreakdown | None:
         """Current-version round cache lookup (versioned core only)."""
         if self._core is None or key is None:
@@ -841,8 +885,18 @@ class PrivateMWConvex:
                 self._hypothesis_minima.move_to_end(minima_key)
                 return hit
         start, steps = self._warm_start(key)
-        result = minimize_loss(loss, self.hypothesis, steps=steps,
-                               start=start)
+        # A cold solve on the untouched uniform prior is the same for
+        # every session over this dataset with this backend and layout.
+        prior_key = (("prior", self.backend_name, self.shards, steps, key)
+                     if minima_key is not None and start is None
+                     and self._core.version == 0 else None)
+        result = (self._shared.get(prior_key) if prior_key is not None
+                  else None)
+        if result is None:
+            result = minimize_loss(loss, self.hypothesis, steps=steps,
+                                   start=start)
+            if prior_key is not None:
+                result = self._shared.put(prior_key, result)
         if minima_key is not None:
             self._hypothesis_minima[minima_key] = result
             while len(self._hypothesis_minima) > self.ROUND_CACHE_LIMIT:
@@ -928,6 +982,8 @@ class PrivateMWConvex:
             return hit
         with trace.span("mechanism.solve", loss=loss.name):
             hypothesis_result = self._minimize_on_hypothesis(loss, key)
+            if data_result is None:
+                data_result = self._data_minimum(loss, key)
             breakdown = database_error(loss, self._data_histogram,
                                        self.hypothesis,
                                        solver_steps=self.solver_steps,

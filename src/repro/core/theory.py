@@ -40,6 +40,28 @@ function of ``D`` the scalar solver did, so the argument is unchanged:
   random draws, so ``q_j`` is a function of ``D`` as the analysis needs.
   Batching a lane's data-side minima ahead of its rounds (``prewarm``)
   changes when the value is computed, never what it is.
+
+Shared minima across sessions
+-----------------------------
+Sessions over one dataset share inner-solve results through
+:mod:`repro.engine.memo`. Privacy is unchanged:
+
+- **Each cached value is a fixed function.** A data-side entry is the
+  deterministic, fixed-budget value of ``(loss, D, solver_steps)``:
+  every route of the engine call that computes it gives a query the
+  same result whatever else shares its batch. A prior entry is a cold
+  solve on the uniform prior ``Dhat_1``, which is public, under a
+  public backend and step budget.
+- **No release changes.** Each session uses exactly the value it would
+  have computed alone, so its error queries, sparse-vector decisions,
+  oracle calls and answers are the same, bit for bit, and its privacy
+  accounting is untouched. Sharing saves work; it adds no function of
+  ``D`` to any session's view.
+- **Caveat: timing.** A hit returns sooner than a solve, so an analyst
+  who times answers can learn that another analyst on the same dataset
+  already asked an equal query. That concerns the confidentiality of
+  queries between analysts, not the differential privacy of the rows
+  of ``D``.
 """
 
 from __future__ import annotations

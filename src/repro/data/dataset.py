@@ -85,6 +85,15 @@ class Dataset:
         generator = as_generator(rng)
         return cls(universe, generator.integers(0, universe.size, size=n))
 
+    def copy(self) -> "Dataset":
+        """An equal-content dataset that shares nothing with this one.
+
+        Mechanisms over one ``Dataset`` object share their inner-solve
+        minima (:mod:`repro.engine.memo`); a copy starts with none, as
+        a separate deployment would.
+        """
+        return Dataset(self._universe, self._indices)
+
     # -- accessors ---------------------------------------------------------
 
     @property

@@ -24,6 +24,9 @@ the ROADMAP's "fast as the hardware allows" north star targets:
   per-entry version stamps against an evolving hypothesis core, so only
   stale answers recompute across MW updates (plus a fused
   update-then-evaluate call for whole-batch consumers).
+- :mod:`repro.engine.memo` — :func:`shared_minima` gives each dataset
+  one thread-safe memo of inner-solve minima (data side, and cold solves
+  on the uniform prior) that every mechanism over it shares.
 
 Consumers: :class:`~repro.core.pmw_cm.PrivateMWConvex` pre-warms its
 data-side minimization cache through :func:`batch_data_minima`, and

@@ -302,10 +302,23 @@ def _linear_cm_values(group: _Group, thetas,
     return _linear_cm_value(theta, first, second)
 
 
+def _row_answers(tables: np.ndarray, histogram: Histogram) -> np.ndarray:
+    """:func:`kernels.linear_answers` one row at a time.
+
+    A stacked matvec may sum a row in a different order depending on how
+    many rows share the call, so a minimum computed this way does not
+    depend on which other queries share its batch.
+    """
+    return np.concatenate([kernels.linear_answers(tables[i:i + 1], histogram)
+                           for i in range(tables.shape[0])])
+
+
 def _linear_cm_minima(group: _Group,
                       histogram: Histogram) -> list[MinimizeResult]:
-    """Exact minimizers ``clip(<q, D>, 0, 1)`` for a whole batch at once."""
-    first, second = _linear_cm_moments(group, histogram)
+    """Exact minimizers ``clip(<q, D>, 0, 1)``, each a function of its
+    own query and ``D`` alone (see :func:`_row_answers`)."""
+    first = _row_answers(group.tables, histogram)
+    second = _row_answers(group.squared_tables(), histogram)
     theta = np.clip(first, 0.0, 1.0)
     values = _linear_cm_value(theta, first, second)
     return [
