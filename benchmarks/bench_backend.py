@@ -1,12 +1,12 @@
 """E24 — pluggable numeric backend on the MW hot path.
 
 The backend refactor (``repro.backend``) moved every heavy kernel of the
-mechanism loop — fused log-weight accumulation, deferred normalization,
-linear-answer matvecs, GLM margin matmuls, cached-CDF sampling — behind
-the :class:`~repro.backend.base.ArrayBackend` protocol, with the NumPy
-float64 default extracted bitwise and accelerated implementations
-(float32 SIMD-friendly NumPy always; JAX when installed) registered
-beside it. This benchmark measures the claim the protocol exists for:
+mechanism loop — in-place log-weight accumulation, deferred
+normalization, linear-answer matvecs, GLM margin matmuls, cached-CDF
+sampling — behind the :class:`~repro.backend.base.ArrayBackend`
+protocol, with the NumPy float64 default extracted bitwise and the
+SIMD-friendly float32 NumPy backend registered beside it. This
+benchmark measures the claim the protocol exists for:
 the accelerated backend runs the same hot path materially faster while
 staying inside the documented 1e-6 agreement band.
 
@@ -19,11 +19,9 @@ staying inside the documented 1e-6 agreement band.
 3. **sampling** — cached-CDF inverse sampling (``build_cdf`` once, then
    repeated ``sample_indices`` batches).
 
-The ≥5x full-mode bar applies only where hardware/runtime support it —
-i.e. when the accelerated backend is the jitted JAX one. The float32
-NumPy backend is bandwidth-bound and is held to the more modest
-``FLOAT32_BAR`` on the hot loop instead; every mode asserts the 1e-6
-agreement contract. Smoke mode (CI) runs small, asserts agreement plus
+The float32 backend is bandwidth-bound on the hot loop, so full mode
+holds it to the modest ``FLOAT32_BAR`` there; every mode asserts the
+1e-6 agreement contract. Smoke mode (CI) runs small, asserts agreement plus
 a catastrophic-regression floor, and archives
 ``BENCH_backend.smoke.json`` whose ``gated_speedups`` feed the nightly
 regression gate (``tools/check_bench_regression.py``).
@@ -42,9 +40,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 import pytest
 
-from repro.backend import available_backends, get_backend, jax_available
+from repro.backend import available_backends, get_backend
 from repro.data.builders import interval_grid
-from repro.data.log_histogram import hypothesis_core
+from repro.data.log_histogram import LogHistogram
 from repro.engine import kernels
 from repro.experiments.report import ExperimentReport
 
@@ -54,11 +52,9 @@ JSON_NAME = "BENCH_backend.json"
 #: Agreement band every non-default backend must stay inside.
 TOLERANCE = 1e-6
 
-#: Full-mode hot-loop bar for a genuinely accelerated (jitted JAX)
-#: backend; the float32 NumPy fallback is bandwidth-bound and held to
-#: FLOAT32_BAR. Smoke mode only guards against catastrophic regression
-#: (the nightly JSON diff tracks the real trajectory).
-FULL_BAR = 5.0
+#: Full-mode hot-loop bar for the bandwidth-bound float32 backend.
+#: Smoke mode only guards against catastrophic regression (the nightly
+#: JSON diff tracks the real trajectory).
 FLOAT32_BAR = 1.05
 SMOKE_BAR = 0.5
 
@@ -68,9 +64,8 @@ SMOKE_SIZES = dict(universe_size=100_000, rounds=12, glm_batch=32,
                    glm_dim=8, sample_batches=8)
 
 
-def accelerated_name() -> str:
-    """The fastest registered non-default backend on this machine."""
-    return "jax" if jax_available() else "float32"
+#: The accelerated backend under test, against the NumPy default.
+ACCELERATED = "float32"
 
 
 def _best_of(repeats, fn):
@@ -90,15 +85,15 @@ def cm_hot_loop(universe_size, *, rounds=24, timing_repeats=3):
     probe = rng.random(universe_size)
 
     def run(backend_name):
-        core = hypothesis_core(universe, backend=backend_name)
+        core = LogHistogram(universe, backend=backend_name)
         total = 0.0
         for direction in directions:
             core.apply_update(direction, 0.05)
             total += core.dot(probe)
         return np.asarray(core.weights, dtype=float), total
 
-    name = accelerated_name()
-    run(name)  # warm-up: JIT compilation must not ride the timing
+    name = ACCELERATED
+    run(name)  # warm-up: first-touch allocation must not ride the timing
     numpy_seconds, (numpy_weights, _) = _best_of(
         timing_repeats, lambda: run("numpy"))
     accel_seconds, (accel_weights, _) = _best_of(
@@ -118,11 +113,11 @@ def glm_margin(universe_size, *, batch=96, dim=16, timing_repeats=5):
     points = rng.standard_normal((universe_size, dim))
     parameters = rng.standard_normal((dim, batch))
 
-    name = accelerated_name()
+    name = ACCELERATED
     backend = get_backend(name)
     points_native = backend.from_float64(points)
     parameters_native = backend.from_float64(parameters)
-    backend.matmul(points_native, parameters_native)  # warm-up / JIT
+    backend.matmul(points_native, parameters_native)  # warm-up
 
     numpy_seconds, numpy_margins = _best_of(
         timing_repeats,
@@ -150,7 +145,7 @@ def sampling(universe_size, *, batches=32, draw=4096, timing_repeats=3):
     direction = rng.uniform(-1.0, 1.0, universe_size)
 
     def run(backend_name):
-        core = hypothesis_core(universe, backend=backend_name)
+        core = LogHistogram(universe, backend=backend_name)
         core.apply_update(direction, 0.5)
         frozen = core.freeze()
         out = []
@@ -159,7 +154,7 @@ def sampling(universe_size, *, batches=32, draw=4096, timing_repeats=3):
                 draw, rng=np.random.default_rng(100 + index)))
         return np.concatenate(out)
 
-    name = accelerated_name()
+    name = ACCELERATED
     run(name)  # warm-up
     numpy_seconds, numpy_samples = _best_of(
         timing_repeats, lambda: run("numpy"))
@@ -187,10 +182,9 @@ def build_results(*, smoke=False):
     return {
         "benchmark": "backend",
         "mode": "smoke" if smoke else "full",
-        "accelerated": accelerated_name(),
+        "accelerated": ACCELERATED,
         "backends": available_backends(),
-        "bar": SMOKE_BAR if smoke else (
-            FULL_BAR if accelerated_name() == "jax" else FLOAT32_BAR),
+        "bar": SMOKE_BAR if smoke else FLOAT32_BAR,
         "cm_hot_loop": cm,
         "glm_margin": glm,
         "sampling": samp,

@@ -1,9 +1,8 @@
-"""E17 — batched query evaluation: loss matrices, margin matrices, shards.
+"""E17 — batched query evaluation: loss matrices, margin matrices, streams.
 
 The `repro.engine` subsystem claims that a whole batch of queries can be
-evaluated against a histogram in one vectorized pass per family, and that
-large universes should run their MW updates shard-by-shard. This benchmark
-measures the claims the PR is gated on:
+evaluated against a histogram in one vectorized pass per family. This
+benchmark measures the claims the engine is gated on:
 
 1. **GLM margin-matrix kernel** — a 64-query logistic batch evaluated via
    one ``|X|×d @ d×B`` matmul vs the per-query scalar loop (asserted
@@ -12,8 +11,8 @@ measures the claims the PR is gated on:
    universe as one matvec vs per-query dot products;
 3. **batched data-side minima** — the squared family's closed form via
    one shared moment computation vs per-query exact solves;
-4. **sharded MW update** — `ShardedHistogram.multiplicative_update` at
-   |X| = 2·10^6 vs the dense update (identical weights out);
+4. **end-to-end PMW-CM** — a squared-family stream with and without the
+   engine's data-side prewarm;
 5. **end-to-end PMW-linear** — a large-universe interval workload through
    the segment-batched `answer_all` vs the per-query `answer()` loop.
 
@@ -32,8 +31,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 import pytest
 
 from repro.core.pmw_linear import PrivateMWLinear
-from repro.data import Histogram, make_classification_dataset
-from repro.data.sharded import ShardedHistogram
+from repro.data import make_classification_dataset
 from repro.engine import batch_data_minima, compile_batch
 from repro.experiments.report import ExperimentReport
 from repro.experiments.workloads import large_universe_workload
@@ -134,33 +132,8 @@ def batched_data_minima(universe_points=10_000, d=6):
     }
 
 
-def sharded_update(universe_size=2_000_000, shards=8):
-    """Section 4: shard-local MW updates at a multi-million universe."""
-    rng = np.random.default_rng(6)
-    from repro.data.builders import interval_grid
-
-    universe = interval_grid(universe_size)
-    weights = rng.random(universe_size) + 1e-9
-    direction = rng.standard_normal(universe_size) * 0.5
-    dense = Histogram(universe, weights)
-    sharded = ShardedHistogram(universe, weights, num_shards=shards,
-                               workers=4)
-
-    dense_seconds, dense_out = _best_of(
-        3, lambda: dense.multiplicative_update(direction, 0.3))
-    sharded_seconds, sharded_out = _best_of(
-        3, lambda: sharded.multiplicative_update(direction, 0.3))
-    return {
-        "universe": universe_size, "shards": shards,
-        "dense_seconds": dense_seconds, "sharded_seconds": sharded_seconds,
-        "ratio": dense_seconds / sharded_seconds,
-        "max_divergence": float(np.max(np.abs(
-            dense_out.weights - sharded_out.weights))),
-    }
-
-
 def cm_stream_prewarm(universe_points=6_000, d=6, k=BATCH):
-    """Section 5: a whole PMW-CM stream with and without engine prewarm.
+    """Section 4: a whole PMW-CM stream with and without engine prewarm.
 
     ``prewarm=True`` routes the batch's data-side minimizations through
     :func:`repro.engine.batch_data_minima` (shared moment computation for
@@ -201,7 +174,7 @@ def cm_stream_prewarm(universe_points=6_000, d=6, k=BATCH):
 
 
 def linear_stream(universe_size=100_000, k=BATCH):
-    """Section 6: a whole PMW-linear stream, scalar loop vs engine path.
+    """Section 5: a whole PMW-linear stream, scalar loop vs engine path.
 
     Linear streams are memory-bandwidth-bound (each table is read once
     per hypothesis version either way), so the interesting claims here
@@ -209,7 +182,7 @@ def linear_stream(universe_size=100_000, k=BATCH):
     single-matvec *answering* of section 2, not the update stream.
     """
     workload = large_universe_workload(universe_size=universe_size, k=k,
-                                       n=50_000, shards=4, rng=7)
+                                       n=50_000, rng=7)
 
     def scalar_run():
         mechanism = PrivateMWLinear(
@@ -220,7 +193,7 @@ def linear_stream(universe_size=100_000, k=BATCH):
     def batched_run():
         mechanism = PrivateMWLinear(
             workload.dataset, alpha=0.15, epsilon=2.0, max_updates=15,
-            shards=workload.shards, rng=8)
+            rng=8)
         return mechanism.answer_all(workload.queries)
 
     scalar_seconds, scalar = _best_of(3, scalar_run)
@@ -269,16 +242,6 @@ def build_report():
         title="batched data minima: squared family via shared moments",
     )
 
-    shard = sharded_update()
-    report.add_table(
-        ["|X|", "shards", "dense s", "sharded s", "dense/sharded",
-         "max |diff|"],
-        [[shard["universe"], shard["shards"], shard["dense_seconds"],
-          shard["sharded_seconds"], shard["ratio"],
-          shard["max_divergence"]]],
-        title="sharded MW update (workers=4) vs dense, |X| = 2e6",
-    )
-
     cm_stream = cm_stream_prewarm()
     report.add_table(
         ["|X|", "batch", "lazy s", "prewarmed s", "speedup", "max |diff|"],
@@ -296,9 +259,9 @@ def build_report():
           stream["batched_seconds"], stream["speedup"],
           stream["max_divergence"]]],
         title="end-to-end PMW-linear stream: answer() loop vs "
-              "block-batched answer_all (sharded hypothesis)",
+              "block-batched answer_all",
     )
-    return report, glm, linear, shard, cm_stream, stream
+    return report, glm, linear, cm_stream, stream
 
 
 # -- pytest entry points ------------------------------------------------------
@@ -329,32 +292,25 @@ def test_e17_linear_matvec_not_slower_and_exact(results):
     assert linear["max_divergence"] < 1e-10
 
 
-def test_e17_sharded_update_exact(results):
-    shard = results[3]
-    assert shard["max_divergence"] == 0.0
-
-
 def test_e17_cm_stream_prewarm_faster_and_agrees(results):
-    cm_stream = results[4]
+    cm_stream = results[3]
     assert cm_stream["max_divergence"] < 1e-10
     assert cm_stream["speedup"] >= 1.0
 
 
 def test_e17_linear_stream_agrees(results):
-    stream = results[5]
+    stream = results[4]
     assert stream["max_divergence"] < 1e-10
 
 
 if __name__ == "__main__":
-    report, glm, linear, shard, cm_stream, stream = build_report()
+    report, glm, linear, cm_stream, stream = build_report()
     print(report.render())
     ok = (glm["speedup"] >= 3.0 and glm["max_divergence"] < 1e-10
           and linear["max_divergence"] < 1e-10
-          and shard["max_divergence"] == 0.0
           and cm_stream["max_divergence"] < 1e-10
           and stream["max_divergence"] < 1e-10)
     print(f"acceptance: glm batch speedup={glm['speedup']:.1f}x (need >= 3), "
-          f"agreement within 1e-10={glm['max_divergence'] < 1e-10}, "
-          f"sharded update exact={shard['max_divergence'] == 0.0} "
+          f"agreement within 1e-10={glm['max_divergence'] < 1e-10} "
           f"-> {'PASS' if ok else 'FAIL'}")
     sys.exit(0 if ok else 1)

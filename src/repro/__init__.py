@@ -53,7 +53,6 @@ from repro.data import (
     Dataset,
     Histogram,
     LogHistogram,
-    ShardedHistogram,
     Universe,
     binary_cube,
     labeled_universe,
@@ -126,7 +125,7 @@ __all__ = [
     "PMWConfig", "answer_error", "database_error", "dual_certificate",
     "theory",
     # data
-    "Universe", "Histogram", "LogHistogram", "ShardedHistogram", "Dataset",
+    "Universe", "Histogram", "LogHistogram", "Dataset",
     "binary_cube",
     "signed_cube",
     "random_ball_net", "labeled_universe", "make_regression_dataset",

@@ -1,16 +1,14 @@
 """Pluggable numeric backends for the MW hot path.
 
 ``repro.backend`` abstracts every universe-sized numeric operation the
-PMW reproduction performs — fused log-weight accumulation, deferred
+PMW reproduction performs — in-place log-weight accumulation, deferred
 normalization, the engine's linear/GLM/moment kernels, and cached-CDF
 inverse sampling — behind the :class:`ArrayBackend` protocol:
 
 - :class:`NumpyBackend` (``"numpy"``): the ``float64`` default,
   bitwise-identical to the historical inline code;
 - :class:`Float32Backend` (``"float32"``): SIMD-friendly ``float32``
-  arithmetic with ``float64``-accumulated normalizers and CDFs;
-- ``JaxBackend`` (``"jax"``): fused jitted whole-vector kernels,
-  available only when the optional ``jax`` dependency is installed.
+  arithmetic with ``float64``-accumulated normalizers and CDFs.
 
 Select per mechanism (``PrivateMWConvex(..., backend="float32")``), per
 service (``PMWService(..., backend=...)``), per shard fleet
@@ -21,7 +19,6 @@ of backend; see :mod:`repro.backend.base` for the full contract.
 """
 
 from repro.backend.base import ArrayBackend
-from repro.backend.jax_backend import jax_available
 from repro.backend.numpy_backend import Float32Backend, NumpyBackend
 from repro.backend.registry import (
     DEFAULT_BACKEND,
@@ -42,7 +39,6 @@ __all__ = [
     "available_backends",
     "backend_of",
     "get_backend",
-    "jax_available",
     "register_backend",
     "resolve_backend",
 ]

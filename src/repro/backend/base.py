@@ -1,12 +1,12 @@
 """The ``ArrayBackend`` protocol: the numeric surface of the MW hot path.
 
 Every operation the PMW hot loop performs on universe-sized vectors —
-the fused log-weight accumulation behind ``mw_step_inplace``, the
+the in-place log-weight accumulation behind ``mw_step_inplace``, the
 deferred max-shift/exp/normalize materialization, the engine's
 ``linear_answers``/``glm_margin_matrix``/moment kernels, and the
 cached-CDF inverse-sampling tables — goes through one of the methods
-below. Swapping the backend swaps the arithmetic (dtype, fusion,
-device) without touching the mechanism logic above it.
+below. Swapping the backend swaps the arithmetic (dtype, reduction
+precision) without touching the mechanism logic above it.
 
 Contract
 --------
@@ -25,14 +25,9 @@ Contract
   ``float64`` is exact, so a hypothesis trained on any backend restores
   bitwise into any other.
 
-Shard-pass methods take a ``shard`` slice so the existing
-``map_shards`` dispatch (sequential or thread-pool) keeps working:
-backends supply the per-shard arithmetic, the histogram classes keep
-the topology. Backends with ``fused = True`` additionally provide
-whole-vector :meth:`ArrayBackend.fused_update` /
-:meth:`ArrayBackend.fused_normalize` used by
-:class:`~repro.data.log_histogram.LogHistogram` in place of the
-shard-pass decomposition (one jitted kernel instead of four passes).
+The MW methods act on whole universe-sized vectors: backends supply
+the arithmetic, :class:`~repro.data.log_histogram.LogHistogram` owns
+the buffers and the order of the passes.
 
 Mass annihilation (an update that zeroes every weight) is signalled by
 returning a sentinel (``None`` from :meth:`multiplicative_update`, a
@@ -48,10 +43,10 @@ import numpy as np
 def _restore_backend(name: str):
     """Unpickle hook: re-resolve a backend by name on the receiving side.
 
-    Backends are stateless singletons, but some hold unpicklable state
-    (jitted JAX closures); shipping the *name* keeps shard specs and
-    dataset pickles working for every backend and preserves the
-    one-instance-per-name invariant across process boundaries.
+    Backends are stateless singletons; shipping the *name* keeps shard
+    specs and dataset pickles working for every backend, out-of-tree
+    ones included, and preserves the one-instance-per-name invariant
+    across process boundaries.
     """
     from repro.backend.registry import get_backend
 
@@ -62,19 +57,15 @@ class ArrayBackend:
     """Abstract numeric backend. See the module docstring for the contract.
 
     Implementations are stateless and cached as singletons by the
-    registry; all methods must be thread-safe (shard passes run on a
-    shared pool).
+    registry; all methods must be thread-safe (sessions on a service's
+    worker pool share one instance).
     """
 
-    #: Registry name (``"numpy"``, ``"float32"``, ``"jax"``, ...).
+    #: Registry name (``"numpy"``, ``"float32"``, ...).
     name: str = "abstract"
 
     #: Native dtype of hot-path arrays this backend produces.
     dtype = np.float64
-
-    #: Whether :meth:`fused_update`/:meth:`fused_normalize` replace the
-    #: shard-pass decomposition in ``LogHistogram``.
-    fused: bool = False
 
     # -- conversion / allocation -------------------------------------------
 
@@ -98,26 +89,20 @@ class ArrayBackend:
         """Log-weights of the uniform distribution: ``-log(size)`` each."""
         raise NotImplementedError
 
-    # -- MW hot loop: shard passes -----------------------------------------
+    # -- MW hot loop: in-place log-domain passes ----------------------------
 
-    def accumulate(self, log_weights, direction, eta: float, scratch,
-                   shard: slice) -> None:
-        """``log_weights[shard] += eta * direction[shard]`` via ``scratch``."""
+    def accumulate(self, log_weights, direction, eta: float,
+                   scratch) -> None:
+        """``log_weights += eta * direction`` via ``scratch``."""
         raise NotImplementedError
 
-    def max_finite(self, values, shard: slice) -> float:
-        """Max finite entry of ``values[shard]`` (``-inf`` when none)."""
+    def max_finite(self, values) -> float:
+        """Max finite entry of ``values`` (``-inf`` when none)."""
         raise NotImplementedError
 
-    def log_axpy_max(self, weights, direction, eta: float, out,
-                     shard: slice) -> float:
-        """``out[shard] = log(weights[shard]) + eta * direction[shard]``;
-        returns the shard's max finite entry (``-inf`` when none)."""
-        raise NotImplementedError
-
-    def exp_shifted(self, values, shift: float, out, shard: slice) -> None:
-        """``out[shard] = exp(values[shard] - shift)`` (in place when
-        ``values is out``)."""
+    def exp_shifted(self, values, shift: float, out) -> None:
+        """``out = exp(values - shift)`` (in place when ``values is
+        out``)."""
         raise NotImplementedError
 
     def total_mass(self, values) -> float:
@@ -126,19 +111,6 @@ class ArrayBackend:
 
     def normalize(self, values, total: float) -> None:
         """``values /= total`` in place."""
-        raise NotImplementedError
-
-    # -- MW hot loop: fused whole-vector (``fused = True`` backends) -------
-
-    def fused_update(self, log_weights, direction, eta: float):
-        """Whole-vector ``log_weights + eta * direction`` as one kernel."""
-        raise NotImplementedError
-
-    def fused_normalize(self, log_weights):
-        """One kernel for max-shift + exp + sum: returns
-        ``(weights, shift, total)`` with ``weights`` a normalized native
-        NumPy array, ``shift`` the max finite log-weight (non-finite on
-        mass annihilation) and ``total`` the pre-division mass."""
         raise NotImplementedError
 
     # -- dense immutable MW step -------------------------------------------
@@ -176,10 +148,6 @@ class ArrayBackend:
         """Read-only monotone CDF over ``weights``, closed to exactly 1.0
         at the last nonzero entry; always ``float64`` so ``searchsorted``
         against uniform ``float64`` draws never aliases bins."""
-        raise NotImplementedError
-
-    def cumsum(self, values) -> np.ndarray:
-        """Shard-local cumulative masses for two-level sampling tables."""
         raise NotImplementedError
 
     def __reduce__(self):

@@ -10,7 +10,7 @@ existed, so running it is bitwise-identical to the pre-refactor code
 half the memory traffic on every universe-sized pass and twice the SIMD
 lane width, which is where the speedup on large ``|X|`` comes from.
 Reductions that feed normalizers and sampling tables (:meth:`total_mass`,
-:meth:`build_cdf`, :meth:`cumsum`) accumulate in ``float64`` — a
+:meth:`build_cdf`) accumulate in ``float64`` — a
 ``float32`` cumsum over ``|X| = 10^6`` entries drifts to ``~1e-4``,
 well past the ``1e-6`` agreement contract, while per-element arithmetic
 stays comfortably inside it. The squared-family moments
@@ -55,35 +55,24 @@ class NumpyBackend(ArrayBackend):
     def log_uniform(self, size: int):
         return np.full(size, -np.log(size), dtype=self.dtype)
 
-    # -- MW hot loop: shard passes -----------------------------------------
+    # -- MW hot loop: in-place log-domain passes ----------------------------
 
-    def accumulate(self, log_weights, direction, eta: float, scratch,
-                   shard: slice) -> None:
-        np.multiply(direction[shard], eta, out=scratch[shard])
-        log_weights[shard] += scratch[shard]
+    def accumulate(self, log_weights, direction, eta: float,
+                   scratch) -> None:
+        np.multiply(direction, eta, out=scratch)
+        log_weights += scratch
 
-    def max_finite(self, values, shard: slice) -> float:
-        chunk = values[shard]
-        finite = chunk[np.isfinite(chunk)]
+    def max_finite(self, values) -> float:
+        finite = values[np.isfinite(values)]
         return float(np.max(finite)) if finite.size else float("-inf")
 
-    def log_axpy_max(self, weights, direction, eta: float, out,
-                     shard: slice) -> float:
-        chunk = out[shard]  # a view: shards are disjoint, writes race-free
-        with np.errstate(divide="ignore"):
-            np.log(weights[shard], out=chunk)
-        chunk += eta * direction[shard]
-        finite = chunk[np.isfinite(chunk)]
-        return float(np.max(finite)) if finite.size else float("-inf")
-
-    def exp_shifted(self, values, shift: float, out, shard: slice) -> None:
-        chunk = out[shard]
-        np.subtract(values[shard], shift, out=chunk)
-        np.exp(chunk, out=chunk)
+    def exp_shifted(self, values, shift: float, out) -> None:
+        np.subtract(values, shift, out=out)
+        np.exp(out, out=out)
 
     def total_mass(self, values) -> float:
         # Full-vector pairwise sum — the normalizer every histogram
-        # constructor computes, keeping dense/sharded/log paths aligned.
+        # constructor computes, keeping the log and immutable paths aligned.
         return float(values.sum())
 
     def normalize(self, values, total: float) -> None:
@@ -142,9 +131,6 @@ class NumpyBackend(ArrayBackend):
         cdf.setflags(write=False)
         return cdf
 
-    def cumsum(self, values) -> np.ndarray:
-        return np.cumsum(values)
-
 
 class Float32Backend(NumpyBackend):
     """``float32`` storage and arithmetic, ``float64`` accumulation.
@@ -167,9 +153,6 @@ class Float32Backend(NumpyBackend):
         cdf[last_support:] = 1.0
         cdf.setflags(write=False)
         return cdf
-
-    def cumsum(self, values) -> np.ndarray:
-        return np.cumsum(values, dtype=np.float64)
 
     def second_moment(self, features, weights):
         from repro.losses.squared import weighted_second_moment

@@ -5,16 +5,16 @@ Selection precedence, everywhere a ``backend=`` knob exists (mechanism
 constructors, ``PMWService``, shard specs, the CLI):
 
 1. an explicit :class:`~repro.backend.base.ArrayBackend` instance;
-2. an explicit name (``"numpy"``, ``"float32"``, ``"jax"``);
+2. an explicit name (``"numpy"``, ``"float32"``);
 3. ``None`` → the ``REPRO_BACKEND`` environment variable, read at
    resolution time so ``repro-experiments --backend`` and CI matrices
    can steer whole processes;
 4. the ``"numpy"`` default.
 
-Unknown names and unavailable optional backends (``"jax"`` without jax
-installed) raise a typed ``ValidationError`` at resolution time — a
-sharded service spawning accelerated workers fails at spawn, not after
-the first query.
+Unknown names, and registered backends whose factory reports them
+unavailable on this host, raise a typed ``ValidationError`` at
+resolution time — a sharded service spawning accelerated workers fails
+at spawn, not after the first query.
 """
 
 from __future__ import annotations
@@ -33,18 +33,9 @@ ENV_VAR = "REPRO_BACKEND"
 DEFAULT_BACKEND = "numpy"
 
 
-def _make_jax() -> ArrayBackend:
-    # Deferred import: repro.backend must stay importable (and fast)
-    # when jax is absent.
-    from repro.backend.jax_backend import JaxBackend
-
-    return JaxBackend()
-
-
 _FACTORIES: dict[str, Callable[[], ArrayBackend]] = {
     "numpy": NumpyBackend,
     "float32": Float32Backend,
-    "jax": _make_jax,
 }
 _INSTANCES: dict[str, ArrayBackend] = {}
 

@@ -31,8 +31,7 @@ from repro.core.config import PMWConfig
 from repro.core.update import dual_certificate, mw_step, mw_step_inplace
 from repro.data.dataset import Dataset
 from repro.data.histogram import Histogram
-from repro.data.log_histogram import LogHistogram, hypothesis_core
-from repro.data.sharded import hypothesis_histogram
+from repro.data.log_histogram import LogHistogram
 from repro.dp.accountant import PrivacyAccountant, restore_accountant
 from repro.dp.composition import PrivacyParameters, advanced_composition
 from repro.dp.sparse_vector import SparseVector
@@ -156,8 +155,6 @@ class PrivateMWConvex:
                  epsilon: float = 1.0, delta: float = 1e-6,
                  schedule: str = "calibrated", max_updates: int | None = None,
                  solver_steps: int = 400, noise_multiplier: float = 1.0,
-                 shards: int | None = None,
-                 histogram_workers: int | None = None,
                  versioned_core: bool = True, warm_start: bool = True,
                  backend: str | ArrayBackend | None = None,
                  rng=None) -> None:
@@ -187,23 +184,21 @@ class PrivateMWConvex:
         )
         self._oracle = oracle.with_budget(self.config.oracle_epsilon,
                                           self.config.oracle_delta)
-        self.shards = shards
-        self.histogram_workers = histogram_workers
         self.versioned_core = bool(versioned_core)
         self.warm_start = bool(warm_start) and self.versioned_core
         self.warm_solver_steps = max(1, min(self.solver_steps,
                                             max(25, self.solver_steps // 4)))
         self._backend = resolve_backend(backend)
         self.backend_name = self._backend.name
+        universe = dataset.universe
         if self.versioned_core:
-            self._core: LogHistogram | None = hypothesis_core(
-                dataset.universe, shards=shards, workers=histogram_workers,
-                backend=self._backend)
+            self._core: LogHistogram | None = LogHistogram(
+                universe, backend=self._backend)
             self._hypothesis = None
         else:
             self._core = None
-            self._hypothesis = hypothesis_histogram(
-                dataset.universe, shards=shards, workers=histogram_workers,
+            self._hypothesis = Histogram(
+                universe, np.full(universe.size, 1.0 / universe.size),
                 backend=self._backend)
         # Whole-round evaluations keyed by (loss fingerprint, hypothesis
         # version): a no-update round re-asking a known query skips the
@@ -636,8 +631,6 @@ class PrivateMWConvex:
             },
             "solver_steps": self.solver_steps,
             "noise_multiplier": self._sparse_vector.noise_multiplier,
-            "shards": self.shards,
-            "histogram_workers": self.histogram_workers,
             "versioned_core": self.versioned_core,
             "warm_start": self.warm_start,
             # The backend is arithmetic, not state: hypothesis payloads
@@ -712,7 +705,9 @@ class PrivateMWConvex:
         snapshotted backend (hypothesis payloads are backend-independent
         ``float64``, so cross-backend restores are exact); ``None``
         inherits the snapshot's backend, defaulting to NumPy for
-        pre-backend snapshots.
+        pre-backend snapshots. The shard-layout keys of snapshots
+        written while the hypothesis could be sharded only chose a
+        memory layout, never the stored weights, so they are ignored.
         """
         if snapshot.get("format") not in cls.ACCEPTED_SNAPSHOT_FORMATS:
             raise ValidationError(
@@ -734,8 +729,6 @@ class PrivateMWConvex:
             max_updates=config["max_updates"],
             solver_steps=snapshot["solver_steps"],
             noise_multiplier=snapshot["noise_multiplier"],
-            shards=snapshot.get("shards"),
-            histogram_workers=snapshot.get("histogram_workers"),
             # Pre-versioned-core snapshots carry only normalized weights;
             # restoring them onto the legacy immutable path keeps the
             # resumed run faithful to the snapshotted one.
@@ -753,11 +746,9 @@ class PrivateMWConvex:
                 dataset.universe, snapshot["hypothesis_core"],
                 backend=mechanism._backend)
         else:
-            mechanism._hypothesis = hypothesis_histogram(
+            mechanism._hypothesis = Histogram(
                 dataset.universe,
                 np.asarray(snapshot["hypothesis_weights"], dtype=float),
-                shards=snapshot.get("shards"),
-                workers=snapshot.get("histogram_workers"),
                 backend=mechanism._backend,
             )
         mechanism._warm_starts = OrderedDict(
@@ -886,8 +877,8 @@ class PrivateMWConvex:
                 return hit
         start, steps = self._warm_start(key)
         # A cold solve on the untouched uniform prior is the same for
-        # every session over this dataset with this backend and layout.
-        prior_key = (("prior", self.backend_name, self.shards, steps, key)
+        # every session over this dataset with this backend.
+        prior_key = (("prior", self.backend_name, steps, key)
                      if minima_key is not None and start is None
                      and self._core.version == 0 else None)
         result = (self._shared.get(prior_key) if prior_key is not None

@@ -17,9 +17,6 @@ tables into one loss matrix, answers the true side with a single matvec
 (the data histogram never changes), and precomputes hypothesis answers in
 growing blocks — the hypothesis only changes on ``top`` rounds, so blocks
 double while updates stay away and reset after one.
-Large universes can shard the hypothesis (``shards=...``), running each
-MW update and reduction shard-by-shard
-(:class:`~repro.data.sharded.ShardedHistogram`).
 """
 
 from __future__ import annotations
@@ -33,8 +30,7 @@ from repro.backend import ArrayBackend, resolve_backend
 from repro.core.config import PMWConfig
 from repro.data.dataset import Dataset
 from repro.data.histogram import Histogram
-from repro.data.log_histogram import LogHistogram, hypothesis_core
-from repro.data.sharded import hypothesis_histogram
+from repro.data.log_histogram import LogHistogram
 from repro.dp.accountant import PrivacyAccountant, restore_accountant
 from repro.dp.composition import per_round_budget
 from repro.dp.sparse_vector import SparseVector
@@ -69,8 +65,7 @@ class PrivateMWLinear:
     def __init__(self, dataset: Dataset, *, alpha: float, beta: float = 0.05,
                  epsilon: float = 1.0, delta: float = 1e-6,
                  schedule: str = "calibrated", max_updates: int | None = None,
-                 noise_multiplier: float = 1.0, shards: int | None = None,
-                 histogram_workers: int | None = None,
+                 noise_multiplier: float = 1.0,
                  versioned_core: bool = True,
                  backend: str | ArrayBackend | None = None,
                  rng=None) -> None:
@@ -100,20 +95,18 @@ class PrivateMWLinear:
                                        self.config.sv_delta,
                                        self.config.max_updates)
         self._measurement_epsilon = measurement.epsilon
-        self.shards = shards
-        self.histogram_workers = histogram_workers
         self.versioned_core = bool(versioned_core)
         self._backend = resolve_backend(backend)
         self.backend_name = self._backend.name
+        universe = dataset.universe
         if self.versioned_core:
-            self._core: LogHistogram | None = hypothesis_core(
-                dataset.universe, shards=shards, workers=histogram_workers,
-                backend=self._backend)
+            self._core: LogHistogram | None = LogHistogram(
+                universe, backend=self._backend)
             self._hypothesis = None
         else:
             self._core = None
-            self._hypothesis = hypothesis_histogram(
-                dataset.universe, shards=shards, workers=histogram_workers,
+            self._hypothesis = Histogram(
+                universe, np.full(universe.size, 1.0 / universe.size),
                 backend=self._backend)
         self._updates = 0
         self._queries = 0
@@ -344,8 +337,6 @@ class PrivateMWLinear:
                 "max_updates": config.max_updates,
             },
             "noise_multiplier": self._sparse_vector.noise_multiplier,
-            "shards": self.shards,
-            "histogram_workers": self.histogram_workers,
             "versioned_core": self.versioned_core,
             "backend": self.backend_name,
             # One hypothesis representation: the raw log-domain core
@@ -373,7 +364,8 @@ class PrivateMWLinear:
 
         ``backend`` overrides the snapshotted backend; hypothesis
         payloads are backend-independent ``float64``, so cross-backend
-        restores are exact (see PrivateMWConvex.restore).
+        restores are exact, and retired shard-layout keys are ignored
+        (see PrivateMWConvex.restore).
         """
         if snapshot.get("format") not in cls.ACCEPTED_SNAPSHOT_FORMATS:
             raise ValidationError(
@@ -392,8 +384,6 @@ class PrivateMWLinear:
             epsilon=config["epsilon"], delta=config["delta"],
             schedule=config["schedule"], max_updates=config["max_updates"],
             noise_multiplier=snapshot["noise_multiplier"],
-            shards=snapshot.get("shards"),
-            histogram_workers=snapshot.get("histogram_workers"),
             # Pre-versioned-core snapshots restore onto the legacy path
             # (they carry only normalized weights).
             versioned_core=snapshot.get("versioned_core", False),
@@ -406,11 +396,9 @@ class PrivateMWLinear:
                 dataset.universe, snapshot["hypothesis_core"],
                 backend=mechanism._backend)
         else:
-            mechanism._hypothesis = hypothesis_histogram(
+            mechanism._hypothesis = Histogram(
                 dataset.universe,
                 np.asarray(snapshot["hypothesis_weights"], dtype=float),
-                shards=snapshot.get("shards"),
-                workers=snapshot.get("histogram_workers"),
                 backend=mechanism._backend,
             )
         mechanism._updates = int(snapshot["updates"])

@@ -132,7 +132,7 @@ def mw_step_inplace(hypothesis_core: LogHistogram,
 
     Mathematically identical to ``mw_step`` (same validation, same
     regret-consistent sign), but applied to the versioned log-domain
-    accumulator: one fused ``log w += (∓eta/S) · u`` with normalization
+    accumulator: one in-place ``log w += (∓eta/S) · u`` with normalization
     deferred to the next read, instead of a full log/exp/normalize pass
     constructing a fresh histogram. Bumps — and returns — the core's
     version, which is what every ``(fingerprint, version)``-keyed cache
@@ -140,8 +140,8 @@ def mw_step_inplace(hypothesis_core: LogHistogram,
 
     Both steps execute on the hypothesis's
     :class:`~repro.backend.base.ArrayBackend` (the accumulation and the
-    deferred normalization delegate to ``accumulate``/``fused_update``
-    and the shifted-exp materialization); this function stays
+    deferred normalization delegate to ``accumulate`` and the
+    shifted-exp materialization); this function stays
     backend-agnostic — it only validates and fixes the sign.
     """
     eta, scale = _checked_step(certificate, eta, scale)

@@ -9,9 +9,6 @@ indexed by ``X``. This package provides:
   optional labels (for supervised losses).
 - :class:`Histogram` — a probability vector over a :class:`Universe` with
   the multiplicative-weights update as a first-class operation.
-- :class:`ShardedHistogram` — the same contract with every heavy
-  operation (updates, reductions, sampling) run per contiguous shard,
-  optionally on a thread pool, for universes in the ≥10^6 regime.
 - :class:`LogHistogram` — the version-stamped log-domain accumulator the
   mechanisms' hot loop mutates in place (``log w += eta·u`` with deferred
   normalization); :meth:`~LogHistogram.freeze` yields immutable views.
@@ -26,8 +23,7 @@ indexed by ``X``. This package provides:
 
 from repro.data.universe import Universe
 from repro.data.histogram import Histogram
-from repro.data.sharded import ShardedHistogram, hypothesis_histogram
-from repro.data.log_histogram import LogHistogram, hypothesis_core
+from repro.data.log_histogram import LogHistogram
 from repro.data.dataset import Dataset
 from repro.data.builders import (
     ball_grid,
@@ -55,10 +51,7 @@ from repro.data.io import (
 __all__ = [
     "Universe",
     "Histogram",
-    "ShardedHistogram",
-    "hypothesis_histogram",
     "LogHistogram",
-    "hypothesis_core",
     "Dataset",
     "binary_cube",
     "ball_grid",

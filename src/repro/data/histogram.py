@@ -25,8 +25,8 @@ from repro.utils.validation import check_finite_array
 def mass_annihilation_error(detail: str) -> ValidationError:
     """The shared diagnostic for an update that zeroed every weight.
 
-    Raised (with a path-specific ``detail`` prefix) by the dense update,
-    the sharded update, and the log-domain accumulator's materialization
+    Raised (with a path-specific ``detail`` prefix) by the immutable
+    update and the log-domain accumulator's materialization
     whenever no finite log-weight remains — instead of the opaque
     empty-``np.max`` crash this situation used to produce.
     """
@@ -79,11 +79,11 @@ class Histogram:
 
         The public constructor re-validates and copies (finiteness and
         sign masks, a clip, a division — several full-universe
-        temporaries). Internal producers — the sharded update and the
-        log-domain accumulator's ``freeze()`` — guarantee non-negative,
-        finite, unit-mass weights by construction, so they are adopted
-        in place. Callers with untrusted weights must use the
-        constructor.
+        temporaries). Internal producers — the log-domain accumulator's
+        ``freeze()`` and shared-memory dataset attachment — guarantee
+        non-negative, finite, unit-mass weights by construction, so they
+        are adopted in place. Callers with untrusted weights must use
+        the constructor.
         """
         instance = cls.__new__(cls)
         normalized.setflags(write=False)

@@ -8,7 +8,7 @@ object. The PMW hot loop applies those updates *in sequence to one
 evolving hypothesis*, which admits a much cheaper representation:
 
 - keep the hypothesis in **log-space** (``log_weights``), where the MW
-  update ``w(x) ∝ w(x) · exp(eta · u(x))`` is a single fused in-place
+  update ``w(x) ∝ w(x) · exp(eta · u(x))`` is a single in-place
   ``log_weights += eta · u`` — no transcendentals, no fresh allocation;
 - **defer normalization**: in log-space the per-round normalizer is an
   additive constant that cancels against the next update, so it only
@@ -22,10 +22,9 @@ evolving hypothesis*, which admits a much cheaper representation:
   hypothesis has not moved.
 
 :meth:`freeze` materializes the current version as a regular (immutable)
-:class:`Histogram` — or :class:`~repro.data.sharded.ShardedHistogram`
-when sharding is configured — agreeing with the chain of per-round
-immutable updates to floating-point reassociation (``<= 1e-10``; pinned
-by ``tests/property/test_log_domain_agreement.py``). Frozen views are
+:class:`Histogram`, agreeing with the chain of per-round immutable
+updates to floating-point reassociation (``<= 1e-10``; pinned by
+``tests/property/test_log_domain_agreement.py``). Frozen views are
 cached per version and stay valid forever: once a buffer escapes through
 ``freeze()`` the next materialization writes a fresh one.
 """
@@ -36,12 +35,6 @@ import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
 from repro.data.histogram import Histogram, mass_annihilation_error
-from repro.data.sharded import (
-    ShardedHistogram,
-    _make_slices,
-    check_shard_params,
-    map_shards,
-)
 from repro.data.universe import Universe
 from repro.exceptions import ValidationError
 from repro.utils.validation import check_finite_array
@@ -59,29 +52,16 @@ class LogHistogram:
         the :class:`Histogram` constructor. ``None`` starts uniform —
         PMW's ``Dhat_1`` — without materializing an intermediate
         histogram.
-    num_shards:
-        When set, heavy passes (the update accumulation and the
-        materializing ``exp``) run shard-by-shard with shard-sized
-        temporaries, and :meth:`freeze` yields a
-        :class:`ShardedHistogram`. ``None`` keeps the dense layout.
-    workers:
-        Optional thread count for shard passes; requires ``num_shards``
-        (mirroring :func:`repro.data.sharded.hypothesis_histogram`).
     backend:
         The :class:`~repro.backend.base.ArrayBackend` (or its registry
-        name) running the hot passes. The default NumPy backend is
-        bitwise the historical code path; fused backends (``fused =
-        True``) replace the shard-pass decomposition with whole-vector
-        jitted kernels. :meth:`state_dict` output is ``float64``
-        regardless of backend.
+        name) running the hot passes; ``None`` resolves via
+        ``REPRO_BACKEND`` to the bitwise-default NumPy backend.
+        :meth:`state_dict` output is ``float64`` regardless of backend.
     """
 
     def __init__(self, universe: Universe, weights: np.ndarray | None = None,
-                 *, num_shards: int | None = None,
-                 workers: int | None = None,
-                 backend: str | ArrayBackend | None = None) -> None:
-        self._setup(universe, num_shards=num_shards, workers=workers,
-                    backend=backend)
+                 *, backend: str | ArrayBackend | None = None) -> None:
+        self._setup(universe, backend=backend)
         if weights is None:
             self._log_weights = self._backend.log_uniform(universe.size)
         else:
@@ -95,21 +75,10 @@ class LogHistogram:
                 log_weights = np.log(base.weights)
             self._log_weights = self._backend.from_float64(log_weights)
 
-    def _setup(self, universe: Universe, *, num_shards: int | None,
-               workers: int | None,
-               backend: str | ArrayBackend | None = None) -> None:
-        if num_shards is None and workers is not None:
-            raise ValidationError(
-                "histogram workers require sharding: pass num_shards=... "
-                "alongside workers"
-            )
-        num_shards, workers = check_shard_params(universe.size, num_shards,
-                                                 workers)
+    def _setup(self, universe: Universe, *,
+               backend: str | ArrayBackend | None) -> None:
         self._backend = resolve_backend(backend)
         self._universe = universe
-        self._num_shards = num_shards
-        self._workers = workers
-        self._slices = _make_slices(universe.size, num_shards or 1)
         self._version = 0
         self._scratch: np.ndarray | None = None
         self._weights: np.ndarray | None = None
@@ -121,18 +90,14 @@ class LogHistogram:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def uniform(cls, universe: Universe, *, num_shards: int | None = None,
-                workers: int | None = None) -> "LogHistogram":
+    def uniform(cls, universe: Universe) -> "LogHistogram":
         """The uniform accumulator (PMW's ``Dhat_1``) at version 0."""
-        return cls(universe, num_shards=num_shards, workers=workers)
+        return cls(universe)
 
     @classmethod
-    def from_histogram(cls, histogram: Histogram, *,
-                       num_shards: int | None = None,
-                       workers: int | None = None) -> "LogHistogram":
+    def from_histogram(cls, histogram: Histogram) -> "LogHistogram":
         """Adopt an existing histogram's distribution at version 0."""
-        return cls(histogram.universe, histogram.weights,
-                   num_shards=num_shards, workers=workers)
+        return cls(histogram.universe, histogram.weights)
 
     # -- accessors ---------------------------------------------------------
 
@@ -149,16 +114,6 @@ class LogHistogram:
         is the invariant every version-keyed cache relies on.
         """
         return self._version
-
-    @property
-    def num_shards(self) -> int | None:
-        """Configured shard count (``None`` = dense layout)."""
-        return self._num_shards
-
-    @property
-    def workers(self) -> int | None:
-        """Thread count for shard passes (``None`` = sequential)."""
-        return self._workers
 
     @property
     def backend(self) -> ArrayBackend:
@@ -192,18 +147,10 @@ class LogHistogram:
         if not np.isfinite(eta):
             raise ValidationError(f"eta must be finite, got {eta}")
         backend = self._backend
-        if backend.fused:
-            self._log_weights = backend.fused_update(self._log_weights,
-                                                     direction, eta)
-            self._version += 1
-            return self._version
-        direction = backend.asarray(direction)
         if self._scratch is None:
             self._scratch = backend.empty_like(self._log_weights)
-        log_weights, scratch = self._log_weights, self._scratch
-        self._map_shards(
-            lambda s: backend.accumulate(log_weights, direction, eta,
-                                         scratch, s))
+        backend.accumulate(self._log_weights, backend.asarray(direction),
+                           eta, self._scratch)
         self._version += 1
         return self._version
 
@@ -225,43 +172,26 @@ class LogHistogram:
 
     def _materialize(self) -> None:
         backend = self._backend
-        if backend.fused:
-            # One jitted kernel: max-shift, exp, and the normalizer sum.
-            weights, shift, total = backend.fused_normalize(
-                self._log_weights)
-            if not np.isfinite(shift):
-                raise mass_annihilation_error("log-domain hypothesis")
-            self._check_normalizer(total)
-            self._weights = weights
-            self._weights_escaped = False
-            self._weights_version = self._version
-            return
         if self._weights is None or self._weights_escaped:
             self._weights = backend.empty_like(self._log_weights)
             self._weights_escaped = False
         log_weights, out = self._log_weights, self._weights
 
-        shift = max(self._map_shards(
-            lambda s: backend.max_finite(log_weights, s)))
+        shift = backend.max_finite(log_weights)
         if not np.isfinite(shift):
             raise mass_annihilation_error("log-domain hypothesis")
 
-        self._map_shards(
-            lambda s: backend.exp_shifted(log_weights, shift, out, s))
+        backend.exp_shifted(log_weights, shift, out)
         # Full-vector pairwise sum — the same normalizer the immutable
-        # constructors compute, keeping dense/sharded/log paths aligned.
+        # constructors compute, keeping the log and immutable paths aligned.
         total = backend.total_mass(out)
-        self._check_normalizer(total)
-        backend.normalize(out, total)
-        self._weights_version = self._version
-
-    @staticmethod
-    def _check_normalizer(total: float) -> None:
         if not (np.isfinite(total) and total > 0.0):
             raise ValidationError(
                 "log-domain hypothesis produced a non-finite normalizer; "
                 "an accumulated update overflowed"
             )
+        backend.normalize(out, total)
+        self._weights_version = self._version
 
     def freeze(self) -> Histogram:
         """An immutable histogram view of the current version.
@@ -276,13 +206,7 @@ class LogHistogram:
             return self._frozen
         weights = self.weights
         self._weights_escaped = True
-        if self._num_shards is None:
-            frozen = Histogram._adopt_normalized(self._universe, weights,
-                                                 backend=self._backend)
-        else:
-            frozen = ShardedHistogram._adopt(self._universe, weights,
-                                             num_shards=self._num_shards,
-                                             workers=self._workers,
+        frozen = Histogram._adopt_normalized(self._universe, weights,
                                              backend=self._backend)
         self._frozen = frozen
         self._frozen_version = self._version
@@ -298,13 +222,7 @@ class LogHistogram:
             raise ValidationError(
                 f"values has shape {values.shape}, expected {weights.shape}"
             )
-        backend = self._backend
-        if self._num_shards is None:
-            return backend.dot(values, weights)
-        partials = self._map_shards(
-            lambda s: backend.dot(values[s], weights[s])
-        )
-        return float(sum(partials))
+        return self._backend.dot(values, weights)
 
     def sample_indices(self, n: int, rng=None) -> np.ndarray:
         """Draw ``n`` iid universe indices from the current version.
@@ -346,8 +264,6 @@ class LogHistogram:
             "version": self._version,
             "log_weights": self._backend.to_float64(
                 self._log_weights).tolist(),
-            "num_shards": self._num_shards,
-            "workers": self._workers,
         }
 
     @classmethod
@@ -358,11 +274,12 @@ class LogHistogram:
 
         ``backend`` selects the backend the restored accumulator runs
         on — independent of the one that produced the state, because the
-        stored log-weights are plain ``float64``.
+        stored log-weights are plain ``float64``. States written while
+        the hypothesis could be sharded may carry shard-layout keys;
+        they never affected the stored log-weights and are ignored.
         """
         core = cls.__new__(cls)
-        core._setup(universe, num_shards=state.get("num_shards"),
-                    workers=state.get("workers"), backend=backend)
+        core._setup(universe, backend=backend)
         log_weights = np.asarray(state["log_weights"], dtype=float)
         if log_weights.ndim != 1 or log_weights.shape[0] != universe.size:
             raise ValidationError(
@@ -381,34 +298,12 @@ class LogHistogram:
             )
         return core
 
-    # -- internals -------------------------------------------------------------
-
-    def _map_shards(self, task):
-        return map_shards(self._slices, self._workers, task)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"LogHistogram(universe={self._universe.name!r}, "
             f"size={self._universe.size}, version={self._version}, "
-            f"shards={self._num_shards}, workers={self._workers})"
+            f"backend={self._backend.name!r})"
         )
 
 
-def hypothesis_core(universe: Universe, weights: np.ndarray | None = None, *,
-                    shards: int | None = None,
-                    workers: int | None = None,
-                    backend: str | ArrayBackend | None = None,
-                    ) -> LogHistogram:
-    """Build a mechanism's versioned hypothesis core.
-
-    The log-domain counterpart of
-    :func:`repro.data.sharded.hypothesis_histogram`, sharing its knob
-    semantics (``workers`` without ``shards`` is rejected by the
-    constructor). ``backend`` selects the numeric backend for the hot
-    passes (``None`` → ``REPRO_BACKEND`` → NumPy).
-    """
-    return LogHistogram(universe, weights, num_shards=shards,
-                        workers=workers, backend=backend)
-
-
-__all__ = ["LogHistogram", "hypothesis_core"]
+__all__ = ["LogHistogram"]

@@ -22,7 +22,7 @@ the ROADMAP's "fast as the hardware allows" north star targets:
   handles falls back to the scalar path.
 - :mod:`repro.engine.versioned` — :class:`VersionedBatchEvaluator` keeps
   per-entry version stamps against an evolving hypothesis core, so only
-  stale answers recompute across MW updates (plus a fused
+  stale answers recompute across MW updates (plus a combined
   update-then-evaluate call for whole-batch consumers).
 - :mod:`repro.engine.memo` — :func:`shared_minima` gives each dataset
   one thread-safe memo of inner-solve minima (data side, and cold solves
@@ -38,9 +38,6 @@ update); the serving layer's batch planner hands mechanism lanes to the
 engine before executing them, and the serving gateway
 (:mod:`repro.serve.gateway`) coalesces queued concurrent requests into
 exactly such lanes — sustained load converts into batched kernel work.
-Large universes pair the engine with
-:class:`~repro.data.sharded.ShardedHistogram`, whose updates and
-reductions run shard-by-shard.
 
 Agreement with the scalar path is a contract, not an accident: every
 kernel computes the same quantity through a reassociated product, and

@@ -11,10 +11,9 @@ memo dies with its dataset.
 Keys are tuples that name the side first:
 
 - ``("data", steps, fingerprint)`` — a data-side minimum;
-- ``("prior", backend, shards, steps, fingerprint)`` — a cold
-  hypothesis-side solve on the untouched uniform prior. The backend and
-  the shard layout are in the key because they change the prior's
-  arithmetic.
+- ``("prior", backend, steps, fingerprint)`` — a cold hypothesis-side
+  solve on the untouched uniform prior. The backend is in the key
+  because it changes the prior's arithmetic.
 
 Losses without a fingerprint never share. Every stored ``theta`` is
 read-only, so an analyst mutating a released answer cannot change what

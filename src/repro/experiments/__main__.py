@@ -189,8 +189,8 @@ def main(argv=None) -> int:
                         help="master seed (default 0)")
     parser.add_argument("--backend", default=None,
                         help="numeric backend for every mechanism built in "
-                             "this run (sets REPRO_BACKEND; e.g. 'numpy', "
-                             "'float32', 'jax')")
+                             "this run (sets REPRO_BACKEND: 'numpy' or "
+                             "'float32')")
     args = parser.parse_args(argv)
 
     if args.backend is not None:

@@ -1,6 +1,6 @@
 """E24 — numeric-backend demo: agreement and speed of the MW hot path.
 
-Runs the same deterministic MW workload — fused log-weight
+Runs the same deterministic MW workload — in-place log-weight
 accumulation, deferred normalization, inverse-CDF sampling, and a
 linear-answer matvec — once per registered
 :class:`~repro.backend.base.ArrayBackend` available on this machine,
@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from repro.backend import available_backends, get_backend
-from repro.data.log_histogram import hypothesis_core
+from repro.data.log_histogram import LogHistogram
 from repro.data.synthetic import make_classification_dataset
 from repro.experiments.report import ExperimentReport
 
@@ -52,7 +52,7 @@ def _hot_loop(backend_name: str, universe_size: int, rounds: int,
 
     universe = Universe(np.arange(universe_size, dtype=float)[:, None],
                         name="e24")
-    core = hypothesis_core(universe, backend=backend)
+    core = LogHistogram(universe, backend=backend)
     started = time.perf_counter()
     for direction in directions:
         core.apply_update(direction, 0.05)
@@ -106,13 +106,12 @@ def run_backend_demo(*, universe_size: int = 20000, rounds: int = 12,
         worst = max(worst, delta_w, delta_a)
         rows.append([
             name, np.dtype(get_backend(name).dtype).name,
-            "yes" if get_backend(name).fused else "no",
             delta_w, delta_a, f"{agree:.1%}",
             f"{elapsed * 1e3:.1f}ms",
             f"{base_elapsed / elapsed:.2f}x" if elapsed > 0 else "-",
         ])
     report.add_table(
-        ["backend", "dtype", "fused", "max|dw| vs numpy",
+        ["backend", "dtype", "max|dw| vs numpy",
          "answer delta", "sample agree", "hot loop", "vs numpy"],
         rows,
         title=f"MW hot path at |X|={universe_size}, {rounds} updates",

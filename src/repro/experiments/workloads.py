@@ -7,12 +7,9 @@ accuracy targets (cheap here, because all mechanism-side computation is
 histogram-based and independent of ``n``).
 
 :func:`large_universe_workload` is the exception to "laptop-scale": it
-builds a linear-query workload over a universe big enough that the dense
-hypothesis path stops being the right default, and
-:func:`sharded_linear_max_error` runs it end to end through
-:class:`~repro.core.pmw_linear.PrivateMWLinear` with a sharded hypothesis
-(:class:`~repro.data.sharded.ShardedHistogram`) and the batched
-evaluation engine (:mod:`repro.engine`).
+builds a linear-query workload over a universe big enough (``|X| ~
+10^5``-``10^6``) that the batched evaluation engine's loss-matrix
+layout (:mod:`repro.engine`) carries the query-side cost.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from repro.data.synthetic import (
 from repro.data.universe import Universe
 from repro.erm.oracle import SingleQueryOracle
 from repro.core.pmw_cm import PrivateMWConvex
-from repro.core.pmw_linear import PrivateMWLinear
 from repro.core.accuracy import answer_error
 from repro.losses.base import LossFunction
 from repro.losses.linear import LinearQuery
@@ -83,23 +79,21 @@ class LinearWorkload:
     dataset: Dataset
     universe: Universe
     queries: list
-    shards: int
     description: str
 
 
 def large_universe_workload(universe_size: int = 200_000, k: int = 64,
-                            n: int = 100_000, *, shards: int = 8,
+                            n: int = 100_000, *,
                             interval_scale: float = 0.35, rng=0,
                             description: str = "") -> LinearWorkload:
-    """A large-universe interval-query workload for the sharded path.
+    """A large-universe interval-query workload.
 
     Builds a 1-D grid universe of ``universe_size`` points on ``[-1, 1]``,
     a bell-shaped dataset of ``n`` rows over it, and ``k`` random interval
     (range-counting) queries — the classic PMW workload shape, at a
-    universe size where the engine's loss-matrix layout and the sharded
-    hypothesis (``shards`` contiguous shards) earn their keep. Everything
-    is built vectorized, so the construction itself stays cheap at
-    ``universe_size >= 10^6`` (memory is dominated by the ``k ×
+    universe size where the engine's loss-matrix layout earns its keep.
+    Everything is built vectorized, so the construction itself stays
+    cheap at ``universe_size >= 10^6`` (memory is dominated by the ``k ×
     universe_size`` query tables).
     """
     if k < 1:
@@ -124,42 +118,9 @@ def large_universe_workload(universe_size: int = 200_000, k: int = 64,
         LinearQuery(tables[j], name=f"interval-{j}") for j in range(k)
     ]
     return LinearWorkload(
-        dataset=dataset, universe=universe, queries=queries, shards=shards,
-        description=description or (
-            f"intervals(|X|={universe_size}, k={k}, shards={shards})"
-        ),
+        dataset=dataset, universe=universe, queries=queries,
+        description=description or f"intervals(|X|={universe_size}, k={k})",
     )
-
-
-def sharded_linear_max_error(workload: LinearWorkload, *, alpha: float = 0.1,
-                             epsilon: float = 1.0, delta: float = 1e-6,
-                             max_updates: int | None = 20,
-                             workers: int | None = None,
-                             rng=None) -> tuple[float, int]:
-    """Run PMW-linear end to end with a sharded hypothesis.
-
-    The mechanism's hypothesis is a
-    :class:`~repro.data.sharded.ShardedHistogram` (``workload.shards``
-    shards, optionally threaded shard passes via ``workers``), the stream
-    is answered through the engine's segment-batched
-    :meth:`~repro.core.pmw_linear.PrivateMWLinear.answer_all`, and the
-    ground truth comes from one batched loss-matrix pass. Returns
-    ``(max absolute answer error, update rounds used)``.
-    """
-    from repro.engine import batch_answers
-
-    mechanism = PrivateMWLinear(
-        workload.dataset, alpha=alpha, epsilon=epsilon, delta=delta,
-        max_updates=max_updates, shards=workload.shards,
-        histogram_workers=workers, rng=rng,
-    )
-    answers = mechanism.answer_all(workload.queries, on_halt="hypothesis")
-    truth = batch_answers(workload.queries, workload.dataset.histogram())
-    worst = max(
-        abs(answer.value - true)
-        for answer, true in zip(answers, truth)
-    )
-    return float(worst), mechanism.updates_performed
 
 
 def pmw_max_error(workload: Workload, oracle: SingleQueryOracle, *,

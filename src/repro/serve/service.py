@@ -942,15 +942,15 @@ class PMWService:
                 f"dataset with a different content digest than "
                 f"{dataset_name!r}; refusing to resume over different data"
             )
-        params = dict(override if override is not None
-                      else record.get("params", {}))
+        journaled = _journaled_params(record)
+        params = dict(override) if override is not None else journaled
         _check_journalable(record["session_id"], params)
         mechanism = self.registry.restore(
             record["mechanism"], record["mechanism_snapshot"],
             self.datasets[dataset_name],
             rng=spawn_generators(self._rng, 1)[0], **params,
         )
-        session = Session.restore(record, mechanism)
+        session = Session.restore({**record, "params": journaled}, mechanism)
         with self._lock:
             self._sessions[session.session_id] = session
 
@@ -975,8 +975,8 @@ class PMWService:
                 f"different content digest than {dataset_name!r}; refusing "
                 f"to resume over different data"
             )
-        params = dict(override if override is not None
-                      else record.get("params", {}))
+        params = (dict(override) if override is not None
+                  else _journaled_params(record))
         _check_journalable(sid, params)
         mechanism = self.registry.create(
             record["mechanism"], self.datasets[dataset_name],
@@ -1169,6 +1169,20 @@ def _max_id_counter(session_ids) -> int:
 
 
 __all__ = ["PMWService", "SNAPSHOT_FORMAT", "dataset_digest"]
+
+
+#: Session params of the retired sharded hypothesis layout. Ledgers and
+#: checkpoints written while it existed may still journal them; they
+#: chose only a memory layout, never an answer, so a resume drops them
+#: (a new ``open_session`` passing them still fails).
+_RETIRED_PARAMS = ("shards", "histogram_workers")
+
+
+def _journaled_params(record: dict) -> dict:
+    params = dict(record.get("params") or {})
+    for key in _RETIRED_PARAMS:
+        params.pop(key, None)
+    return params
 
 
 def _check_journalable(session_id: str, params: dict) -> None:

@@ -3,8 +3,7 @@
 The engine rewiring must be invisible at the mechanism contract level:
 ``answer_all`` (batched) has to walk the same sparse-vector stream,
 consume the same noise, and release the same answers as a loop of
-``answer()`` calls with the same seed — on both mechanisms, dense or
-sharded.
+``answer()`` calls with the same seed — on both mechanisms.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ import pytest
 from repro.core.pmw_cm import PrivateMWConvex
 from repro.core.pmw_linear import PrivateMWLinear
 from repro.data import make_classification_dataset
-from repro.data.sharded import ShardedHistogram
 from repro.erm.oracle import NonPrivateOracle
 from repro.losses.families import (
     random_linear_queries,
@@ -49,18 +47,6 @@ class TestLinearBatchedStream:
             assert a.query_index == b.query_index
             assert a.value == pytest.approx(b.value, abs=1e-10)
 
-    def test_sharded_matches_dense(self, task, queries):
-        dense = PrivateMWLinear(task.dataset, rng=7, **LINEAR_PARAMS)
-        sharded = PrivateMWLinear(task.dataset, rng=7, shards=5,
-                                  **LINEAR_PARAMS)
-        assert isinstance(sharded.hypothesis, ShardedHistogram)
-        dense_answers = dense.answer_all(queries)
-        sharded_answers = sharded.answer_all(queries)
-        for a, b in zip(dense_answers, sharded_answers):
-            assert a.value == pytest.approx(b.value, abs=1e-10)
-        np.testing.assert_allclose(dense.hypothesis.weights,
-                                   sharded.hypothesis.weights, atol=1e-12)
-
     def test_on_halt_hypothesis_serves_tail(self, task, queries):
         mechanism = PrivateMWLinear(task.dataset, rng=3, alpha=0.02,
                                     epsilon=0.4, max_updates=2)
@@ -94,24 +80,6 @@ class TestLinearBatchedStream:
         assert not any(answer.from_update for answer in answers)
         with pytest.raises(MechanismHalted):
             mechanism.answer_all(queries[:2], on_halt="raise")
-
-    def test_sharded_snapshot_roundtrip(self, task, queries):
-        mechanism = PrivateMWLinear(task.dataset, rng=9, shards=4,
-                                    histogram_workers=2, **LINEAR_PARAMS)
-        mechanism.answer_all(queries[:10])
-        snapshot = mechanism.snapshot()
-        restored = PrivateMWLinear.restore(snapshot, task.dataset)
-        assert isinstance(restored.hypothesis, ShardedHistogram)
-        assert restored.hypothesis.num_shards == 4
-        assert restored.hypothesis.workers == 2
-        np.testing.assert_allclose(restored.hypothesis.weights,
-                                   mechanism.hypothesis.weights)
-        # the continuation streams identically
-        rest = mechanism.answer_all(queries[10:])
-        rest_restored = restored.answer_all(queries[10:])
-        for a, b in zip(rest, rest_restored):
-            assert a.value == pytest.approx(b.value, abs=1e-12)
-            assert a.from_update == b.from_update
 
 
 class TestConvexPrewarm:
@@ -163,19 +131,6 @@ class TestConvexPrewarm:
         assert len(mechanism._data_minima) <= 4
         for loss in losses[:4]:
             assert loss.fingerprint() in mechanism._data_minima
-
-    def test_sharded_hypothesis_supported(self, task, losses):
-        mechanism = PrivateMWConvex(
-            task.dataset, NonPrivateOracle(solver_steps=60), rng=5,
-            shards=3, **CM_PARAMS)
-        assert isinstance(mechanism.hypothesis, ShardedHistogram)
-        answers = mechanism.answer_all(losses[:4], on_halt="hypothesis")
-        assert len(answers) == 4
-        snapshot = mechanism.snapshot()
-        restored = PrivateMWConvex.restore(
-            snapshot, task.dataset, NonPrivateOracle(solver_steps=60))
-        assert isinstance(restored.hypothesis, ShardedHistogram)
-        assert restored.hypothesis.num_shards == 3
 
 
 class TestBoundedMemoryFallback:

@@ -212,6 +212,39 @@ class TestSnapshotRestore:
             np.testing.assert_array_equal(a.theta, b.theta)
             assert a.from_update == b.from_update
 
+    def test_snapshot_with_shard_layout_keys_restores_bitwise(
+            self, concentrated_dataset):
+        """Snapshots written while the hypothesis could be sharded carry
+        layout keys at both levels; they restore onto the dense core with
+        the same log-weights and continue bitwise."""
+        losses = random_quadratic_family(concentrated_dataset.universe, 4,
+                                         rng=7)
+        mechanism = make_mechanism(concentrated_dataset, alpha=0.25,
+                                   noise_multiplier=0.0, rng=13)
+        for loss in losses[:3]:
+            mechanism.answer(loss)
+        state = json.loads(json.dumps(mechanism.snapshot()))
+        assert "shards" not in state and "histogram_workers" not in state
+        assert set(state["hypothesis_core"]) == {"version", "log_weights"}
+        state.update(shards=4, histogram_workers=2)
+        state["hypothesis_core"].update(num_shards=4, workers=2)
+        restored = PrivateMWConvex.restore(state, concentrated_dataset,
+                                           NonPrivateOracle(120))
+        assert (restored.snapshot()["hypothesis_core"]
+                == mechanism.snapshot()["hypothesis_core"])
+        for loss in losses + losses:
+            a, b = mechanism.answer(loss), restored.answer(loss)
+            np.testing.assert_array_equal(a.theta, b.theta)
+            assert a.from_update == b.from_update
+        assert restored.updates_performed == mechanism.updates_performed > 0
+        np.testing.assert_array_equal(restored.hypothesis.weights,
+                                      mechanism.hypothesis.weights)
+
+    def test_shard_knobs_are_rejected(self, cube_dataset):
+        for knob in ("shards", "histogram_workers"):
+            with pytest.raises(TypeError, match=knob):
+                make_mechanism(cube_dataset, **{knob: 2})
+
     def test_version_counter_round_trips(self, concentrated_dataset):
         losses = random_quadratic_family(concentrated_dataset.universe, 3,
                                          rng=8)
@@ -271,28 +304,24 @@ class TestSnapshotRestore:
         np.testing.assert_allclose(restored.hypothesis.weights,
                                    mechanism.hypothesis.weights)
 
+    def test_legacy_snapshot_with_shard_keys_restores(self, cube_dataset):
+        mechanism = make_mechanism(cube_dataset, versioned_core=False)
+        losses = random_quadratic_family(cube_dataset.universe, 3, rng=10)
+        mechanism.answer_all(losses, on_halt="hypothesis")
+        state = json.loads(json.dumps(mechanism.snapshot()))
+        state.update(shards=4, histogram_workers=2)
+        restored = PrivateMWConvex.restore(state, cube_dataset,
+                                           NonPrivateOracle(120))
+        assert restored.versioned_core is False
+        np.testing.assert_array_equal(restored.hypothesis.weights,
+                                      mechanism.hypothesis.weights)
+
 
 class TestLinearVersionedCore:
     def make_queries(self, universe, k, rng):
         generator = np.random.default_rng(rng)
         return [LinearQuery(generator.random(universe.size), name=f"q{i}")
                 for i in range(k)]
-
-    def test_sharded_core_matches_dense(self, cube_universe):
-        rng = np.random.default_rng(1)
-        dataset = Dataset(cube_universe,
-                          rng.choice(cube_universe.size, size=300))
-        queries = self.make_queries(cube_universe, 16, rng=2)
-
-        def run(shards):
-            mechanism = PrivateMWLinear(dataset, alpha=0.2, epsilon=2.0,
-                                        max_updates=6, shards=shards,
-                                        rng=3)
-            return mechanism.answer_all(queries, on_halt="hypothesis")
-
-        dense, sharded = run(None), run(2)
-        for a, b in zip(dense, sharded):
-            assert a.value == pytest.approx(b.value, abs=1e-12)
 
     def test_snapshot_round_trips_core(self, cube_universe):
         rng = np.random.default_rng(4)
@@ -315,3 +344,31 @@ class TestLinearVersionedCore:
         for x, y in zip(a, b):
             assert x.value == y.value
             assert x.from_update == y.from_update
+
+    def test_snapshot_with_shard_layout_keys_restores(self, cube_universe):
+        rng = np.random.default_rng(4)
+        dataset = Dataset(cube_universe,
+                          rng.choice(cube_universe.size, size=300))
+        queries = self.make_queries(cube_universe, 10, rng=5)
+        mechanism = PrivateMWLinear(dataset, alpha=0.1, epsilon=2.0,
+                                    max_updates=6, rng=6)
+        mechanism.answer_all(queries, on_halt="hypothesis")
+        state = json.loads(json.dumps(mechanism.snapshot()))
+        assert "shards" not in state and "histogram_workers" not in state
+        state.update(shards=2, histogram_workers=2)
+        state["hypothesis_core"].update(num_shards=2, workers=2)
+        restored = PrivateMWLinear.restore(state, dataset)
+        assert (restored.snapshot()["hypothesis_core"]["log_weights"]
+                == mechanism.snapshot()["hypothesis_core"]["log_weights"])
+        follow = self.make_queries(cube_universe, 4, rng=7)
+        a = mechanism.answer_all(follow, on_halt="hypothesis")
+        b = restored.answer_all(follow, on_halt="hypothesis")
+        for x, y in zip(a, b):
+            assert x.value == y.value
+            assert x.from_update == y.from_update
+
+    def test_shard_knobs_are_rejected(self, cube_universe):
+        dataset = Dataset(cube_universe, np.arange(cube_universe.size))
+        for knob in ("shards", "histogram_workers"):
+            with pytest.raises(TypeError, match=knob):
+                PrivateMWLinear(dataset, alpha=0.1, **{knob: 2})

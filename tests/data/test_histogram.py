@@ -261,18 +261,6 @@ class TestCdfCacheInvalidation:
         counts = np.bincount(original, minlength=5) / 5000
         np.testing.assert_allclose(counts, 0.2, atol=0.05)
 
-    def test_sharded_tables_not_shared_either(self, universe):
-        from repro.data.sharded import ShardedHistogram
-
-        hist = ShardedHistogram(universe, np.ones(5), num_shards=2)
-        hist.sample_indices(10, rng=0)
-        assert hist._shard_tables is not None
-        updated = hist.multiplicative_update(
-            np.array([1.0, 0.0, 0.0, 0.0, 0.0]), 50.0)
-        assert updated._shard_tables is None
-        sample = updated.sample_indices(2000, rng=1)
-        assert np.mean(sample == 0) > 0.99
-
 
 class TestCompatibilityCheck:
     """Regression: two *different* universes of equal size must not pass."""
@@ -310,14 +298,6 @@ class TestMassAnnihilation:
     def test_dense_update_raises_validation_error(self, universe):
         hist = Histogram.uniform(universe)
         # eta * direction overflows to -inf on every element.
-        with np.errstate(over="ignore"), pytest.raises(
-                ValidationError, match="annihilated"):
-            hist.multiplicative_update(np.full(len(universe), -1e200), 1e200)
-
-    def test_sharded_update_raises_validation_error(self, universe):
-        from repro.data.sharded import ShardedHistogram
-
-        hist = ShardedHistogram.uniform(universe, num_shards=2)
         with np.errstate(over="ignore"), pytest.raises(
                 ValidationError, match="annihilated"):
             hist.multiplicative_update(np.full(len(universe), -1e200), 1e200)

@@ -7,8 +7,7 @@ import pytest
 
 from repro.data.builders import interval_grid
 from repro.data.histogram import Histogram
-from repro.data.log_histogram import LogHistogram, hypothesis_core
-from repro.data.sharded import ShardedHistogram
+from repro.data.log_histogram import LogHistogram
 from repro.exceptions import ValidationError
 
 
@@ -49,20 +48,6 @@ class TestConstruction:
         core = LogHistogram.from_histogram(hist)
         np.testing.assert_allclose(core.weights, hist.weights, atol=1e-15)
 
-    def test_workers_require_shards(self, universe):
-        with pytest.raises(ValidationError, match="shard"):
-            LogHistogram.uniform(universe, workers=2)
-
-    def test_invalid_shard_count(self, universe):
-        with pytest.raises(ValidationError):
-            LogHistogram.uniform(universe, num_shards=0)
-
-    def test_hypothesis_core_helper(self, universe):
-        dense = hypothesis_core(universe)
-        sharded = hypothesis_core(universe, shards=4, workers=2)
-        assert dense.num_shards is None
-        assert sharded.num_shards == 4 and sharded.workers == 2
-
 
 class TestVersioning:
     def test_each_update_bumps_version(self, universe, directions):
@@ -91,12 +76,8 @@ class TestVersioning:
 
 
 class TestAgreementWithImmutablePath:
-    @pytest.mark.parametrize("num_shards,workers", [(None, None), (5, None),
-                                                    (5, 2)])
-    def test_update_chain_matches(self, universe, directions, num_shards,
-                                  workers):
-        core = LogHistogram.uniform(universe, num_shards=num_shards,
-                                    workers=workers)
+    def test_update_chain_matches(self, universe, directions):
+        core = LogHistogram.uniform(universe)
         updates = [(d, 0.25) for d in directions]
         for direction, eta in updates:
             core.apply_update(direction, eta)
@@ -141,11 +122,8 @@ class TestFreeze:
             core.freeze()
         np.testing.assert_array_equal(frozen.weights, pinned)
 
-    def test_frozen_type_matches_layout(self, universe):
+    def test_frozen_type_is_histogram(self, universe):
         assert type(LogHistogram.uniform(universe).freeze()) is Histogram
-        sharded = LogHistogram.uniform(universe, num_shards=4).freeze()
-        assert isinstance(sharded, ShardedHistogram)
-        assert sharded.num_shards == 4
 
     def test_frozen_weights_read_only(self, universe):
         frozen = LogHistogram.uniform(universe).freeze()
@@ -181,18 +159,14 @@ class TestAnnihilation:
 
 
 class TestSnapshotRestore:
-    @pytest.mark.parametrize("num_shards,workers", [(None, None), (3, 2)])
-    def test_state_round_trips_bitwise(self, universe, directions,
-                                       num_shards, workers):
-        core = LogHistogram.uniform(universe, num_shards=num_shards,
-                                    workers=workers)
+    def test_state_round_trips_bitwise(self, universe, directions):
+        core = LogHistogram.uniform(universe)
         for direction in directions[:4]:
             core.apply_update(direction, 0.4)
         state = json.loads(json.dumps(core.state_dict()))
+        assert set(state) == {"version", "log_weights"}
         restored = LogHistogram.from_state(universe, state)
         assert restored.version == core.version
-        assert restored.num_shards == core.num_shards
-        assert restored.workers == core.workers
         np.testing.assert_array_equal(restored.weights, core.weights)
 
     def test_restore_then_update_matches_uninterrupted(self, universe,

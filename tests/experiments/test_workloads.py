@@ -135,41 +135,20 @@ class TestExperimentSmoke:
 
 
 class TestLargeUniverseWorkload:
-    """The sharded large-universe workload (engine + ShardedHistogram)."""
+    """The large-universe interval workload the engine benchmarks run."""
 
     def test_builds_shared_table_matrix(self):
         from repro.engine import kernels
         from repro.experiments.workloads import large_universe_workload
 
         workload = large_universe_workload(universe_size=5_000, k=8,
-                                           n=2_000, shards=4, rng=0)
+                                           n=2_000, rng=0)
         assert workload.universe.size == 5_000
         assert len(workload.queries) == 8
         stacked = kernels.stack_tables(workload.queries)
         # the workload builds one contiguous matrix; stacking is zero-copy
         assert (stacked.__array_interface__["data"][0]
                 == workload.queries[0].table.__array_interface__["data"][0])
-
-    def test_runs_end_to_end_sharded(self):
-        from repro.data.sharded import ShardedHistogram
-        from repro.core.pmw_linear import PrivateMWLinear
-        from repro.experiments.workloads import (
-            large_universe_workload,
-            sharded_linear_max_error,
-        )
-
-        workload = large_universe_workload(universe_size=5_000, k=12,
-                                           n=5_000, shards=4, rng=1)
-        worst, updates = sharded_linear_max_error(
-            workload, alpha=0.2, epsilon=2.0, max_updates=10, rng=2)
-        assert 0.0 <= worst <= 1.0
-        assert 0 <= updates <= 10
-        # the mechanism really runs a sharded hypothesis
-        mechanism = PrivateMWLinear(
-            workload.dataset, alpha=0.2, epsilon=2.0,
-            shards=workload.shards, rng=3)
-        assert isinstance(mechanism.hypothesis, ShardedHistogram)
-        assert mechanism.hypothesis.num_shards == workload.shards
 
     def test_interval_tables_are_indicators(self):
         import numpy as np

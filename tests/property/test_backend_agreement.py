@@ -1,13 +1,13 @@
 """Property tests pinning every registered backend to the NumPy default.
 
 The :mod:`repro.backend` contract says accelerated backends may change
-*arithmetic* (dtype, fusion, vendor kernels) but never *math*: on any
+*arithmetic* (dtype, reduction precision) but never *math*: on any
 MW workload their results must stay within ``1e-6`` of the
 :class:`~repro.backend.NumpyBackend` reference. This suite lets
 Hypothesis hunt for update sequences and query shapes that stress the
 band, for every backend registered on this machine:
 
-- **MW steps** — fused accumulate + deferred normalize over random
+- **MW steps** — in-place accumulate + deferred normalize over random
   update sequences: materialized weights within ``1e-6``;
 - **linear answers / GLM margins / moments** — the engine kernels
   (:func:`~repro.engine.kernels.linear_answers` and friends) through a
@@ -18,9 +18,10 @@ band, for every backend registered on this machine:
   is non-increasing under certificate-signed updates on every backend
   (the analysis' Lemma 3.4 invariant must not be a float64 accident).
 
-The CI default job sees ``['float32', 'numpy']``; the jax job adds
-``'jax'``. The numpy-vs-numpy case is intentionally kept in the matrix:
-it pins the refactor itself (agreement there is exact).
+Every CI job sees ``['float32', 'numpy']``, plus any out-of-tree
+backend registered on the host. The numpy-vs-numpy case is
+intentionally kept in the matrix: it pins the refactor itself
+(agreement there is exact).
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.backend import available_backends, get_backend
 from repro.data.histogram import Histogram
-from repro.data.log_histogram import hypothesis_core
+from repro.data.log_histogram import LogHistogram
 from repro.data.universe import Universe
 from repro.engine import kernels
 
@@ -63,7 +64,7 @@ weight_arrays = hnp.arrays(
 
 
 def materialized(backend_name, updates):
-    core = hypothesis_core(UNIVERSE, backend=backend_name)
+    core = LogHistogram(UNIVERSE, backend=backend_name)
     for direction, eta in updates:
         core.apply_update(direction, eta)
     return np.asarray(core.weights, dtype=float)
@@ -82,7 +83,7 @@ class TestHotPathAgreement:
     @settings(max_examples=30, deadline=None)
     def test_linear_answers_agree(self, name, updates, tables):
         def answers(backend_name):
-            core = hypothesis_core(UNIVERSE, backend=backend_name)
+            core = LogHistogram(UNIVERSE, backend=backend_name)
             for direction, eta in updates:
                 core.apply_update(direction, eta)
             return np.asarray(
@@ -132,7 +133,7 @@ class TestHotPathAgreement:
                    (np.cos(np.arange(SIZE)), 0.2)]
 
         def draws(backend_name):
-            core = hypothesis_core(UNIVERSE, backend=backend_name)
+            core = LogHistogram(UNIVERSE, backend=backend_name)
             for direction, eta in updates:
                 core.apply_update(direction, eta)
             return core.freeze().sample_indices(
@@ -163,7 +164,7 @@ def test_mw_objective_monotone(name):
     tables = rng.random((30, SIZE))
 
     eta = 0.05
-    core = hypothesis_core(UNIVERSE, backend=name)
+    core = LogHistogram(UNIVERSE, backend=name)
     potential = data.kl_divergence(core.freeze())
     fired = 0
     for table in tables:

@@ -4,8 +4,7 @@ The engine's contract (see :mod:`repro.engine`) is that every kernel
 computes the *same* quantity as the per-query code through a reassociated
 product — so batched and scalar answers may differ only by floating-point
 associativity. These tests pin that divergence below 1e-10 over
-randomized weights, parameters, and query structure, and check the
-sharded histogram against the dense one under the same operations.
+randomized weights, parameters, and query structure.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.data import make_classification_dataset
 from repro.data.histogram import Histogram
-from repro.data.sharded import ShardedHistogram
 from repro.engine import batch_answers, batch_data_minima, batch_loss_on
 from repro.losses.families import (
     linear_queries_as_cm,
@@ -98,29 +96,3 @@ class TestScalarBatchedAgreement:
             assert result.value == pytest.approx(reference.value,
                                                  abs=1e-10)
 
-
-class TestShardedAgainstDense:
-    @given(weights=weight_arrays, seed=seeds,
-           shards=st.integers(min_value=1, max_value=7))
-    @settings(max_examples=30, deadline=None)
-    def test_update_and_reductions(self, weights, seed, shards):
-        dense = Histogram(TASK.universe, weights)
-        sharded = ShardedHistogram(TASK.universe, weights,
-                                   num_shards=shards)
-        rng = np.random.default_rng(seed)
-        direction = rng.uniform(-3.0, 3.0, SIZE)
-        dense_updated = dense.multiplicative_update(direction, 0.6)
-        sharded_updated = sharded.multiplicative_update(direction, 0.6)
-        np.testing.assert_array_equal(sharded_updated.weights,
-                                      dense_updated.weights)
-        values = rng.standard_normal(SIZE)
-        assert sharded.dot(values) == pytest.approx(dense.dot(values),
-                                                    abs=1e-10)
-        assert sharded.total_variation(dense_updated) == pytest.approx(
-            dense.total_variation(dense_updated), abs=1e-10)
-        kl_dense = dense.kl_divergence(dense_updated)
-        kl_sharded = sharded.kl_divergence(sharded_updated)
-        if np.isinf(kl_dense):
-            assert np.isinf(kl_sharded)
-        else:
-            assert kl_sharded == pytest.approx(kl_dense, abs=1e-10)

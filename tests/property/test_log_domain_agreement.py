@@ -44,11 +44,9 @@ weight_arrays = hnp.arrays(
 ).filter(lambda w: w.sum() > 1e-6)
 
 
-def run_both(weights, updates, *, num_shards=None, workers=None,
-             snapshot_at=None):
+def run_both(weights, updates, *, snapshot_at=None):
     immutable = Histogram(UNIVERSE, weights)
-    core = LogHistogram(UNIVERSE, weights, num_shards=num_shards,
-                        workers=workers)
+    core = LogHistogram(UNIVERSE, weights)
     for index, (direction, eta) in enumerate(updates):
         if snapshot_at is not None and index == snapshot_at:
             state = json.loads(json.dumps(core.state_dict()))
@@ -102,13 +100,6 @@ class TestLogDomainAgreement:
         immutable, core = run_both(weights, updates, snapshot_at=cut)
         assert core.version == len(updates)
         assert np.max(np.abs(core.weights - immutable.weights)) <= 1e-10
-
-    @given(weights=weight_arrays, updates=update_sequences)
-    @settings(max_examples=25, deadline=None)
-    def test_sharded_core_matches_dense_core(self, weights, updates):
-        _, dense = run_both(weights, updates)
-        _, sharded = run_both(weights, updates, num_shards=5)
-        np.testing.assert_array_equal(sharded.weights, dense.weights)
 
 
 class TestMechanismLevelAgreement:

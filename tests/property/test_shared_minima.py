@@ -244,7 +244,7 @@ def test_keys_separate_prior_backends(task, pool, params):
         _mechanism(dataset, params, 0, backend=backend).answer(loss)
     memo = _memo(dataset)
     for backend in backends:
-        assert ("prior", backend, None, params["solver_steps"],
+        assert ("prior", backend, params["solver_steps"],
                 loss.fingerprint()) in memo
         shared = _mechanism(dataset, params, 2, backend=backend)
         alone = _mechanism(dataset.copy(), params, 2, backend=backend)
@@ -295,7 +295,7 @@ def test_threads_hammering_one_memo_lose_nothing():
             for index in range(300):
                 key = ("data", worker, str(index))
                 memo.put(key, _result(index))
-                shared = ("prior", "numpy", None, 1, str(index % 7))
+                shared = ("prior", "numpy", 1, str(index % 7))
                 if memo.get(shared) is None:
                     memo.put(shared, _result(index % 7))
                 assert memo.get(key).value == float(index)

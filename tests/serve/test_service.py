@@ -397,6 +397,72 @@ class TestCrashRecovery:
         assert accountant.total_basic() == expected
         assert accountant.total_advanced(1e-7) == expected_advanced
 
+    def test_ledger_with_shard_layout_params_resumes(self, cube_dataset,
+                                                     tmp_path):
+        """Journals written while sessions could shard their hypothesis
+        carry ``shards``/``histogram_workers`` in the open record's
+        params. Resume drops exactly those keys, and totals still equal
+        the ledger replay."""
+        import json
+
+        from repro.serve.ledger import replay_ledger
+
+        ledger_path = tmp_path / "budget.jsonl"
+        service = PMWService(cube_dataset, ledger_path=ledger_path, rng=0)
+        sid = open_convex(service)
+        losses = random_quadratic_family(cube_dataset.universe, 5, rng=4)
+        service.answer_batch((sid, losses))
+        expected = service.session(sid).accountant.total_basic()
+        del service
+
+        records = [json.loads(line)
+                   for line in ledger_path.read_text().splitlines()]
+        for record in records:
+            if record["kind"] == "open":
+                record["params"].update(shards=4, histogram_workers=2)
+        ledger_path.write_text("".join(json.dumps(record) + "\n"
+                                       for record in records))
+
+        replayed = replay_ledger(ledger_path).accountant_for(sid)
+        resumed = PMWService.restore(cube_dataset, ledger_path=ledger_path)
+        session = resumed.session(sid)
+        assert session.accountant.total_basic() == replayed.total_basic()
+        assert session.accountant.total_basic() == expected
+        assert "shards" not in session.params
+        assert "histogram_workers" not in session.params
+        assert session.params["solver_steps"] == 120
+        resumed.submit(sid, losses[0])  # the resumed session serves
+
+    def test_snapshot_with_shard_layout_params_restores(self, cube_dataset,
+                                                        tmp_path):
+        import json
+
+        snap_path = tmp_path / "service.json"
+        service = PMWService(cube_dataset, rng=0)
+        sid = open_convex(service)
+        losses = random_quadratic_family(cube_dataset.universe, 6, rng=5)
+        service.answer_batch((sid, losses[:4]))
+        service.snapshot(snap_path)
+        state = json.loads(snap_path.read_text())
+        for record in state["sessions"].values():
+            record["params"].update(shards=4, histogram_workers=2)
+            record["mechanism_snapshot"].update(shards=4,
+                                                histogram_workers=2)
+        snap_path.write_text(json.dumps(state))
+
+        twin = PMWService.restore(cube_dataset, snapshot=snap_path)
+        assert "shards" not in twin.session(sid).params
+        for loss in losses[4:]:
+            a = service.submit(sid, loss)
+            b = twin.submit(sid, loss)
+            assert a.source == b.source
+            np.testing.assert_array_equal(a.value, b.value)
+
+    def test_new_session_with_shard_params_fails(self, cube_dataset):
+        service = PMWService(cube_dataset, rng=0)
+        with pytest.raises(TypeError, match="shards"):
+            open_convex(service, shards=4)
+
     def test_cold_resume_journals_restarted_sparse_vector_on_first_use(
             self, cube_dataset, tmp_path):
         """A ledger-only resume restarts the sparse-vector interaction;
