@@ -15,7 +15,7 @@ submitting the same arrival order one at a time against a plain
    data-side minima batch through the shared-moment kernel
    (`PrivateMWConvex.prewarm`), and the lane's hypothesis-side solves
    batch per version through the same kernel
-   (`PrivateMWConvex._batch_hypothesis_minima`). Every run rebuilds its
+   (`PrivateMWConvex._batch_lane`). Every run rebuilds its
    query objects, so fingerprint hashing is paid identically by both
    modes, and answers must agree between the runs (deterministic twins:
    `noise_multiplier=0`, same seeds).
@@ -23,10 +23,10 @@ submitting the same arrival order one at a time against a plain
    worker: the win is purely algorithmic batching, no parallelism (the
    number that matters on a 1-CPU host).
 3. **linear sessions** (informational) — interval linear queries
-   against PMW-linear sessions: rounds are single dots and request cost
-   is dominated by fingerprint hashing, so only the batched true-answer
-   matvec (`PrivateMWLinear.prewarm`) helps — the honest number for
-   hash-bound workloads.
+   against PMW-linear sessions: rounds are two dots and request cost is
+   dominated by fingerprint hashing. PMW-linear has no prewarm hook, so
+   nothing is batched and the gateway can only add parallelism — the
+   honest number for hash-bound workloads.
 
 Results are archived as text (``benchmarks/results/e19.txt``) and JSON
 (``benchmarks/results/BENCH_gateway.json``); smoke runs write

@@ -64,7 +64,7 @@ def _naive_time(task, stream):
 
     Pinned to the legacy immutable path (``versioned_core=False``): this
     baseline represents the pre-serving-layer behaviour E16's bar was
-    recorded against. The versioned core's own round cache makes even the
+    recorded against. The versioned core's own round replay makes even the
     bare mechanism replay duplicates (that gain is measured by E18,
     ``bench_hot_loop.py``); leaving it on here would fold E18's win into
     the baseline and understate the serving layer's contribution.

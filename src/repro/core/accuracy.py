@@ -32,6 +32,19 @@ class DatabaseErrorBreakdown:
     optimal_loss_on_data: float
     data_minimizer: np.ndarray
 
+    @classmethod
+    def from_parts(cls, data_result: MinimizeResult, theta: np.ndarray,
+                   loss_on_data: float) -> "DatabaseErrorBreakdown":
+        """The breakdown of ``theta = argmin l_{D'}`` given
+        ``l_D(theta)`` and the data-side minimization."""
+        return cls(
+            error=max(0.0, loss_on_data - data_result.value),
+            hypothesis_minimizer=theta,
+            hypothesis_loss_on_data=loss_on_data,
+            optimal_loss_on_data=float(data_result.value),
+            data_minimizer=data_result.theta,
+        )
+
 
 def answer_error(loss: LossFunction, data: Histogram, theta: np.ndarray,
                  *, solver_steps: int = 400,
@@ -62,9 +75,7 @@ def database_error(loss: LossFunction, data: Histogram, hypothesis: Histogram,
     callers reuse the data-side minimization (it only depends on
     ``(loss, data)``, both fixed across a mechanism's lifetime);
     ``hypothesis_result`` likewise supplies an already-computed
-    ``theta_hat`` — e.g. from a ``(fingerprint, hypothesis version)``
-    cache, or a warm-started solve the caller ran itself (see
-    ``PrivateMWConvex._minimize_on_hypothesis``).
+    ``theta_hat`` — e.g. a warm-started solve the caller ran itself.
     """
     if hypothesis_result is None:
         hypothesis_result = minimize_loss(loss, hypothesis,
@@ -72,14 +83,8 @@ def database_error(loss: LossFunction, data: Histogram, hypothesis: Histogram,
     if data_result is None:
         data_result = minimize_loss(loss, data, steps=solver_steps)
     loss_on_data = float(loss.loss_on(hypothesis_result.theta, data))
-    error = max(0.0, loss_on_data - data_result.value)
-    return DatabaseErrorBreakdown(
-        error=error,
-        hypothesis_minimizer=hypothesis_result.theta,
-        hypothesis_loss_on_data=loss_on_data,
-        optimal_loss_on_data=float(data_result.value),
-        data_minimizer=data_result.theta,
-    )
+    return DatabaseErrorBreakdown.from_parts(
+        data_result, hypothesis_result.theta, loss_on_data)
 
 
 def empirical_error_query_sensitivity(loss: LossFunction, data: Histogram,

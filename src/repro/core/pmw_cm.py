@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
-from repro.core.accuracy import DatabaseErrorBreakdown, database_error
+from repro.core.accuracy import DatabaseErrorBreakdown
 from repro.core.config import PMWConfig
 from repro.core.update import dual_certificate, mw_step, mw_step_inplace
 from repro.data.dataset import Dataset
@@ -74,23 +74,48 @@ class PMWAnswer:
     update_index: int | None = None
 
 
+@dataclass
+class _MemoRecord:
+    """What a mechanism remembers about one loss fingerprint.
+
+    ``data`` is ``min_theta l(theta; D)``, fixed for the mechanism's
+    lifetime. ``theta`` is the latest hypothesis-side minimizer and
+    ``version`` the hypothesis version it was solved at: at the current
+    version it is the answer, at an older one only a warm start.
+    ``loss_on_data`` is ``l(theta; D)`` once an :meth:`~PrivateMWConvex.answer`
+    round has computed it at ``version``; with ``data`` it rebuilds that
+    round's whole :class:`DatabaseErrorBreakdown` from the same floats.
+    """
+
+    data: MinimizeResult | None = None
+    version: int = -1
+    theta: np.ndarray | None = None
+    loss_on_data: float | None = None
+
+    def solved(self, version: int, theta: np.ndarray) -> None:
+        """Hold a hypothesis-side minimizer solved at ``version``."""
+        self.version, self.theta, self.loss_on_data = version, theta, None
+
+    def breakdown(self) -> DatabaseErrorBreakdown:
+        """The round whose pieces this record holds."""
+        return DatabaseErrorBreakdown.from_parts(self.data, self.theta,
+                                                 self.loss_on_data)
+
+
 class PrivateMWConvex:
     """The Figure 3 mechanism.
 
     Class attributes
     ----------------
     DATA_MINIMA_LIMIT:
-        LRU bound on the per-mechanism cache of data-side minimizations
-        (one entry per distinct loss fingerprint), and on the minima all
-        mechanisms over one dataset share (:mod:`repro.engine.memo`).
-        Eviction only costs a recomputation; correctness is unaffected.
-    ROUND_CACHE_LIMIT:
-        LRU bound on the per-round breakdown cache, keyed by
-        ``(loss fingerprint, hypothesis version)``. A repeated query at
-        an unchanged hypothesis replays the whole round evaluation —
-        solver, loss-on-data pass, error query — from this cache. The
-        cache is cleared on every MW update (all entries are for a stale
-        version by construction).
+        LRU bound on the mechanism's record table (one
+        :class:`_MemoRecord` per distinct loss fingerprint, holding both
+        inner minimizations of a round), and on the minima all mechanisms
+        over one dataset share (:mod:`repro.engine.memo`). A record at
+        the current hypothesis version replays its round — solver,
+        loss-on-data pass, error query — without recomputing; an MW
+        update makes every record stale by bumping the version. Eviction
+        only costs a recomputation; correctness is unaffected.
 
     Parameters
     ----------
@@ -119,8 +144,9 @@ class PrivateMWConvex:
         ``True`` (default) keeps the hypothesis in the version-stamped
         log-domain accumulator (:class:`~repro.data.log_histogram.LogHistogram`):
         MW updates are in-place accumulations, repeated queries at an
-        unchanged version replay their full round evaluation from cache,
-        and hypothesis-side solves warm-start from the previous round.
+        unchanged version replay their full round evaluation from the
+        record table, and hypothesis-side solves warm-start from the
+        previous round.
         ``False`` is the legacy immutable-histogram path (one fresh
         histogram and one cold solve per round) — kept for ablations and
         the hot-loop benchmark baseline.
@@ -142,7 +168,6 @@ class PrivateMWConvex:
     """
 
     DATA_MINIMA_LIMIT = 1024
-    ROUND_CACHE_LIMIT = 256
     #: How many versions old a warm start may be and still justify the
     #: reduced step budget. One MW step moves the hypothesis by at most
     #: O(eta) in total variation; across many steps that bound (and the
@@ -200,29 +225,15 @@ class PrivateMWConvex:
             self._hypothesis = Histogram(
                 universe, np.full(universe.size, 1.0 / universe.size),
                 backend=self._backend)
-        # Whole-round evaluations keyed by (loss fingerprint, hypothesis
-        # version): a no-update round re-asking a known query skips the
-        # hypothesis solve, the loss-on-data pass, and the error query
-        # entirely. Cleared on every update (the version moved).
-        self._round_cache: OrderedDict[tuple[str, int],
-                                       DatabaseErrorBreakdown] = OrderedDict()
-        # Hypothesis-side solves alone, same keying: also hit by
-        # hypothesis-only answers (post-halt streams), which never build
-        # a full round breakdown.
-        self._hypothesis_minima: OrderedDict[tuple[str, int],
-                                             MinimizeResult] = OrderedDict()
-        # Previous hypothesis-side minimizer per fingerprint, stored with
-        # the version it was solved at; used to warm-start later solves
-        # (survives updates — that is the point: the hypothesis moves
-        # little per MW step). The reduced step budget applies only when
-        # the start is at most WARM_STALENESS_LIMIT versions old;
-        # staler starts still seed the solver but keep the full budget.
-        self._warm_starts: OrderedDict[str,
-                                       tuple[int, np.ndarray]] = OrderedDict()
+        # One record per loss fingerprint (see _MemoRecord): a repeated
+        # query pays one data-side minimization and one hypothesis-side
+        # solve per version. Records survive updates (as warm starts)
+        # and, unlike object identity, snapshot/restore.
+        self._records: OrderedDict[str, _MemoRecord] = OrderedDict()
         # The current serving lane's batchable losses, keyed by
         # fingerprint (registered by prewarm, replaced per lane), each
         # with whether its minimum has a shared closed form. On a
-        # hypothesis-minima miss for a closed-form member, the lane's
+        # hypothesis-side miss for a closed-form member, the lane's
         # closed-form solves at the current version collapse into one
         # shared-moment engine pass. Iterative (lockstep) members batch
         # only once the mechanism has halted: before that, an MW update
@@ -232,21 +243,15 @@ class PrivateMWConvex:
         self._answers: list[PMWAnswer] = []
         self._updates = 0
         self._history: list[dict] = []
-        # min_theta l(theta; D) depends only on (loss, D): cache it per
-        # loss *fingerprint* so repeated queries (cycling/adaptive analysts,
-        # or a serving layer rebuilding equal loss objects) pay one
-        # data-side minimization, not one per round. Fingerprint keys also
-        # survive snapshot/restore, unlike object identity; the LRU bound
-        # keeps long-lived serving sessions from growing without limit.
-        self._data_minima: OrderedDict[str, MinimizeResult] = OrderedDict()
-        # Fallback for losses whose state cannot be fingerprinted (e.g.
-        # stored callables): identity-keyed, GC-bound, never serialized.
+        # Data-side minima of losses whose state cannot be fingerprinted
+        # (e.g. stored callables): identity-keyed, GC-bound, never
+        # serialized. Their hypothesis-side solves are not memoized.
         self._data_minima_by_identity = weakref.WeakKeyDictionary()
         # Minima every mechanism over this dataset object shares (see
         # repro.engine.memo): data-side solves, and cold solves on the
-        # uniform prior. Hits are copied into the per-session tables
-        # above, so snapshots and warm starts read exactly as if this
-        # session had solved them itself.
+        # uniform prior. Hits are copied into the record table above, so
+        # snapshots and warm starts read exactly as if this session had
+        # solved them itself.
         self._shared = shared_minima(dataset, limit=self.DATA_MINIMA_LIMIT)
 
     # -- public state ---------------------------------------------------------
@@ -356,24 +361,7 @@ class PrivateMWConvex:
         # identity-keyed cache, like the pre-fingerprint behaviour.
         with trace.span("mechanism.fingerprint"):
             key = self._loss_key(loss)
-        cached = (self._data_minima.get(key) if key is not None
-                  else self._data_minima_by_identity.get(loss))
-        breakdown = self._round_breakdown(loss, key, cached)
-        if cached is not None:
-            if key is not None:
-                self._data_minima.move_to_end(key)
-        elif key is not None:
-            self._data_minima[key] = MinimizeResult(
-                breakdown.data_minimizer, breakdown.optimal_loss_on_data,
-                exact=False,
-            )
-            while len(self._data_minima) > self.DATA_MINIMA_LIMIT:
-                self._data_minima.popitem(last=False)
-        else:
-            self._data_minima_by_identity[loss] = MinimizeResult(
-                breakdown.data_minimizer, breakdown.optimal_loss_on_data,
-                exact=False,
-            )
+        breakdown = self._round_breakdown(loss, key)
         with trace.span("mechanism.svt"):
             sv_answer = self._sparse_vector.process(breakdown.error)
 
@@ -397,11 +385,9 @@ class PrivateMWConvex:
                 solver_steps=self.solver_steps,
             )
             if self._core is not None:
+                # Bumps the version: every record is now a warm start.
                 mw_step_inplace(self._core, certificate,
                                 self.config.eta, self.config.scale)
-                # Every cached round evaluation is for the old version now.
-                self._round_cache.clear()
-                self._hypothesis_minima.clear()
             else:
                 self._hypothesis = mw_step(self._hypothesis, certificate,
                                            self.config.eta,
@@ -421,7 +407,7 @@ class PrivateMWConvex:
         return answer
 
     def prewarm(self, losses) -> int:
-        """Batch-populate the data-side minimization cache via the engine.
+        """Batch-populate the records' data-side minima via the engine.
 
         ``min_theta l(theta; D)`` depends only on ``(loss, D)``, so a whole
         batch of pending queries can pay for it up front in one vectorized
@@ -435,13 +421,13 @@ class PrivateMWConvex:
         skipped (they are solved in their own round).
 
         The lane is also registered for hypothesis-side batching: a
-        hypothesis-minima miss for a lane member batch-solves the lane
+        hypothesis-side miss for a lane member batch-solves the lane
         at the current hypothesis version through the same engine pass
-        (see :meth:`_batch_hypothesis_minima`) — that is how a coalesced
+        (see :meth:`_batch_lane`) — that is how a coalesced
         gateway batch converts queue pressure into the batched-kernel
         fast path end to end.
 
-        Returns the number of cache entries added.
+        Returns the number of data-side minima added.
         """
         from repro.engine import batch_data_minima, closed_form_minima
 
@@ -455,7 +441,7 @@ class PrivateMWConvex:
                     continue
                 key = self._loss_key(loss)
                 if key is not None and len(self._lane_minima) < \
-                        self.ROUND_CACHE_LIMIT:
+                        self.DATA_MINIMA_LIMIT:
                     self._lane_minima.setdefault(
                         key, (loss, id(loss) in closed))
 
@@ -472,16 +458,17 @@ class PrivateMWConvex:
             if key in seen:
                 continue
             seen.add(key)
-            if key in self._data_minima:
-                # Mark the entry hot: this stream is about to use it, and
+            record = self._records.get(key)
+            if record is not None and record.data is not None:
+                # Mark the record hot: this stream is about to use it, and
                 # the eviction below must drop genuinely cold keys, not
                 # ones the incoming lane still needs.
-                self._data_minima.move_to_end(key)
+                self._records.move_to_end(key)
                 cached_needed += 1
                 continue
             missing.append((key, loss))
-        # Never compute more than the cache can hold alongside the lane's
-        # already-cached entries: anything past the LRU bound would be
+        # Never compute more than the table can hold alongside the lane's
+        # already-held minima: anything past the LRU bound would be
         # evicted before the stream reaches it and solved again lazily —
         # keeping the stream prefix means the first queries to run are
         # exactly the ones warmed.
@@ -500,15 +487,8 @@ class PrivateMWConvex:
                                                 result)
         for key, _ in missing:
             # Stored in lane order exactly as answer() stores its lazy
-            # computation (exact=False: cache entries round-trip through
-            # snapshots, which do not persist the exactness of the
-            # original dispatch), whether solved here or shared.
-            result = results[key]
-            self._data_minima[key] = MinimizeResult(
-                result.theta, result.value, exact=False,
-            )
-        while len(self._data_minima) > self.DATA_MINIMA_LIMIT:
-            self._data_minima.popitem(last=False)
+            # computation, whether solved here or shared.
+            self._record(key).data = _data_entry(results[key])
         return len(missing)
 
     def answer_all(self, losses, *, on_halt: str = "raise",
@@ -565,18 +545,13 @@ class PrivateMWConvex:
     def answer_from_hypothesis(self, loss: LossFunction) -> PMWAnswer:
         """Answer from the public hypothesis only (no privacy cost).
 
-        Shares the round cache and warm starts with :meth:`answer`: a
-        query whose round was already evaluated at the current version
-        replays its minimizer without touching the solver.
+        Shares the record table with :meth:`answer`: a query whose
+        hypothesis side was already solved at the current version replays
+        its minimizer without touching the solver.
         """
         self._check_loss(loss)
         index = len(self._answers)
-        key = self._loss_key(loss)
-        hit = self._round_cache_get(key)
-        if hit is not None:
-            theta = hit.hypothesis_minimizer
-        else:
-            theta = self._minimize_on_hypothesis(loss, key).theta
+        theta = self._hypothesis_theta(loss, self._loss_key(loss))
         answer = PMWAnswer(theta=theta, from_update=False, query_index=index)
         self._answers.append(answer)
         return answer
@@ -614,12 +589,15 @@ class PrivateMWConvex:
         Contains everything *except* the private dataset and the oracle:
         the schedule targets, the public hypothesis, answers, history, the
         sparse-vector interaction state, rng states, the accountant's spend
-        journal, and the data-side minimization cache. Restoring via
-        :meth:`restore` with the same dataset and oracle continues the run
-        bit-for-bit. Snapshots include internal noise state and data-side
-        minima, so they are server-side artifacts, not public releases.
+        journal, and the whole record table. Restoring via :meth:`restore`
+        with the same dataset and oracle continues the run bit-for-bit.
+        Snapshots include internal noise state and data-side minima, so
+        they are server-side artifacts, not public releases. The table
+        is written as ``data_minima``, ``warm_starts`` (every hypothesis
+        minimizer) and ``round_cache`` (replays at the current version).
         """
         config = self.config
+        records = self._records.items()
         return {
             "format": self.SNAPSHOT_FORMAT,
             "config": {
@@ -646,23 +624,23 @@ class PrivateMWConvex:
             "hypothesis_core": (self._core.state_dict()
                                 if self._core is not None else None),
             "warm_starts": {
-                key: {"version": version, "theta": theta.tolist()}
-                for key, (version, theta) in self._warm_starts.items()
+                key: {"version": record.version,
+                      "theta": record.theta.tolist()}
+                for key, record in records if record.theta is not None
             },
             "round_cache": [
                 {
-                    "fingerprint": fingerprint,
-                    "version": version,
-                    "error": breakdown.error,
-                    "hypothesis_minimizer":
-                        breakdown.hypothesis_minimizer.tolist(),
-                    "hypothesis_loss_on_data":
-                        breakdown.hypothesis_loss_on_data,
-                    "optimal_loss_on_data": breakdown.optimal_loss_on_data,
-                    "data_minimizer": breakdown.data_minimizer.tolist(),
+                    "fingerprint": key,
+                    "version": record.version,
+                    "error": record.breakdown().error,
+                    "hypothesis_minimizer": record.theta.tolist(),
+                    "hypothesis_loss_on_data": record.loss_on_data,
+                    "optimal_loss_on_data": record.data.value,
+                    "data_minimizer": record.data.theta.tolist(),
                 }
-                for (fingerprint, version), breakdown
-                in self._round_cache.items()
+                for key, record in records
+                if record.loss_on_data is not None
+                and record.version == self.hypothesis_version
             ],
             "updates": self._updates,
             "history": [dict(entry) for entry in self._history],
@@ -684,11 +662,11 @@ class PrivateMWConvex:
             },
             "data_minima": {
                 key: {
-                    "theta": result.theta.tolist(),
-                    "value": result.value,
-                    "exact": result.exact,
+                    "theta": record.data.theta.tolist(),
+                    "value": record.data.value,
+                    "exact": record.data.exact,
                 }
-                for key, result in self._data_minima.items()
+                for key, record in records if record.data is not None
             },
         }
 
@@ -708,6 +686,9 @@ class PrivateMWConvex:
         pre-backend snapshots. The shard-layout keys of snapshots
         written while the hypothesis could be sharded only chose a
         memory layout, never the stored weights, so they are ignored.
+        The record table is rebuilt from all three sections, so minima
+        released before the snapshot replay; its LRU order is rebuilt
+        section by section (``warm_starts`` last).
         """
         if snapshot.get("format") not in cls.ACCEPTED_SNAPSHOT_FORMATS:
             raise ValidationError(
@@ -751,25 +732,24 @@ class PrivateMWConvex:
                 np.asarray(snapshot["hypothesis_weights"], dtype=float),
                 backend=mechanism._backend,
             )
-        mechanism._warm_starts = OrderedDict(
-            (key, (int(record["version"]),
-                   np.asarray(record["theta"], dtype=float)))
-            for key, record in snapshot.get("warm_starts", {}).items()
-        )
-        mechanism._round_cache = OrderedDict(
-            ((record["fingerprint"], int(record["version"])),
-             DatabaseErrorBreakdown(
-                 error=float(record["error"]),
-                 hypothesis_minimizer=np.asarray(
-                     record["hypothesis_minimizer"], dtype=float),
-                 hypothesis_loss_on_data=float(
-                     record["hypothesis_loss_on_data"]),
-                 optimal_loss_on_data=float(record["optimal_loss_on_data"]),
-                 data_minimizer=np.asarray(record["data_minimizer"],
-                                           dtype=float),
-             ))
-            for record in snapshot.get("round_cache", [])
-        )
+        for key, entry in snapshot["data_minima"].items():
+            mechanism._record(key).data = MinimizeResult(
+                np.asarray(entry["theta"], dtype=float),
+                float(entry["value"]), bool(entry["exact"]))
+        for entry in snapshot.get("round_cache", []):
+            record = mechanism._record(entry["fingerprint"])
+            record.solved(int(entry["version"]), np.asarray(
+                entry["hypothesis_minimizer"], dtype=float))
+            record.loss_on_data = float(entry["hypothesis_loss_on_data"])
+            if record.data is None:
+                record.data = MinimizeResult(
+                    np.asarray(entry["data_minimizer"], dtype=float),
+                    float(entry["optimal_loss_on_data"]), False)
+        for key, entry in snapshot.get("warm_starts", {}).items():
+            record = mechanism._record(key)
+            if record.version != int(entry["version"]):
+                record.solved(int(entry["version"]),
+                              np.asarray(entry["theta"], dtype=float))
         mechanism._updates = int(snapshot["updates"])
         mechanism._history = [dict(entry) for entry in snapshot["history"]]
         mechanism._answers = [
@@ -786,13 +766,6 @@ class PrivateMWConvex:
         # The fresh __init__ registered the sparse-vector spend; the journal
         # already contains it, so replace rather than append.
         mechanism.accountant = restore_accountant(snapshot["accountant"])
-        mechanism._data_minima = OrderedDict(
-            (key, MinimizeResult(
-                np.asarray(record["theta"], dtype=float),
-                float(record["value"]), bool(record["exact"]),
-            ))
-            for key, record in snapshot["data_minima"].items()
-        )
         return mechanism
 
     # -- internals -------------------------------------------------------------
@@ -829,19 +802,23 @@ class PrivateMWConvex:
             result = self._shared.put(memo_key, result)
         return result
 
-    def _round_cache_get(self, key: str | None) -> DatabaseErrorBreakdown | None:
-        """Current-version round cache lookup (versioned core only)."""
-        if self._core is None or key is None:
-            return None
-        round_key = (key, self._core.version)
-        hit = self._round_cache.get(round_key)
-        if hit is not None:
-            self._round_cache.move_to_end(round_key)
-        return hit
+    def _record(self, key: str) -> _MemoRecord:
+        """The record for ``key``, marked most recently used; made on
+        first use, evicting the least recently used past
+        :attr:`DATA_MINIMA_LIMIT`."""
+        record = self._records.get(key)
+        if record is None:
+            record = self._records[key] = _MemoRecord()
+            while len(self._records) > self.DATA_MINIMA_LIMIT:
+                self._records.popitem(last=False)
+        else:
+            self._records.move_to_end(key)
+        return record
 
-    def _minimize_on_hypothesis(self, loss: LossFunction,
-                                key: str | None) -> MinimizeResult:
-        """Hypothesis-side solve, warm-started when the query was seen.
+    def _hypothesis_theta(self, loss: LossFunction,
+                          key: str | None) -> np.ndarray:
+        """``argmin_theta l(theta; Dhat)``, warm-started when the query was
+        seen.
 
         Warm starting only changes the inner solver's trajectory — the
         returned minimizer is still a valid (projected, best-seen)
@@ -851,35 +828,33 @@ class PrivateMWConvex:
         with staleness, so the reduced step budget applies only to
         starts at most :attr:`WARM_STALENESS_LIMIT` versions old.
 
-        Results are cached per ``(fingerprint, version)``, so repeated
+        A record solved at the current version is the answer, so repeated
         solves at an unchanged hypothesis — including post-halt
         hypothesis-only streams — cost a dictionary lookup.
         """
-        minima_key = None
+        record = None
         if self._core is not None and key is not None:
-            minima_key = (key, self._core.version)
-            hit = self._hypothesis_minima.get(minima_key)
+            version = self._core.version
+            record = self._record(key)
             lane = self._lane_minima.get(key)
-            if hit is None and lane is not None and (lane[1]
-                                                     or self.halted):
+            if (record.version != version and lane is not None
+                    and (lane[1] or self.halted)):
                 # A batchable lane member missed at this version: solve
                 # the *remaining* lane's hypothesis minima in one engine
-                # pass, then re-read.
-                self._batch_hypothesis_minima()
-                hit = self._hypothesis_minima.get(minima_key)
+                # pass (this record among them).
+                self._batch_lane()
             # Served entries leave the lane, so a mid-lane MW update
             # re-batches only the queries still ahead in the stream —
             # never the already-served prefix (whose re-solves would be
             # pure waste: O(lane^2) on an update-heavy stream).
             self._lane_minima.pop(key, None)
-            if hit is not None:
-                self._hypothesis_minima.move_to_end(minima_key)
-                return hit
-        start, steps = self._warm_start(key)
+            if record.version == version:
+                return record.theta
+        start, steps = self._warm_start(record)
         # A cold solve on the untouched uniform prior is the same for
         # every session over this dataset with this backend.
         prior_key = (("prior", self.backend_name, steps, key)
-                     if minima_key is not None and start is None
+                     if record is not None and start is None
                      and self._core.version == 0 else None)
         result = (self._shared.get(prior_key) if prior_key is not None
                   else None)
@@ -888,30 +863,23 @@ class PrivateMWConvex:
                                    start=start)
             if prior_key is not None:
                 result = self._shared.put(prior_key, result)
-        if minima_key is not None:
-            self._hypothesis_minima[minima_key] = result
-            while len(self._hypothesis_minima) > self.ROUND_CACHE_LIMIT:
-                self._hypothesis_minima.popitem(last=False)
-        if self.warm_start and key is not None:
-            self._warm_starts[key] = (self._core.version, result.theta)
-            self._warm_starts.move_to_end(key)
-            while len(self._warm_starts) > self.DATA_MINIMA_LIMIT:
-                self._warm_starts.popitem(last=False)
-        return result
+        if record is not None:
+            record.solved(self._core.version, result.theta)
+        return result.theta
 
-    def _warm_start(self, key: str | None) -> tuple[np.ndarray | None, int]:
-        """``(start, steps)`` for a hypothesis-side solve of ``key``."""
+    def _warm_start(self, record: _MemoRecord | None
+                    ) -> tuple[np.ndarray | None, int]:
+        """``(start, steps)`` for a hypothesis-side solve of ``record``."""
         start, steps = None, self.solver_steps
-        if self.warm_start and key is not None:
-            warm = self._warm_starts.get(key)
-            if warm is not None:
-                warm_version, start = warm
-                staleness = self._core.version - warm_version
-                if staleness <= self.WARM_STALENESS_LIMIT:
-                    steps = self.warm_solver_steps
+        if self.warm_start and record is not None \
+                and record.theta is not None:
+            start = record.theta
+            staleness = self._core.version - record.version
+            if staleness <= self.WARM_STALENESS_LIMIT:
+                steps = self.warm_solver_steps
         return start, steps
 
-    def _batch_hypothesis_minima(self) -> int:
+    def _batch_lane(self) -> int:
         """Batch-solve the registered lane's hypothesis minima at the
         current version (one engine pass; see :meth:`prewarm`).
 
@@ -934,57 +902,51 @@ class PrivateMWConvex:
 
         version = self._core.version
         halted = self.halted
-        pending = [(key, loss) for key, (loss, closed)
-                   in self._lane_minima.items()
+        pending = [(key, loss)
+                   for key, (loss, closed) in self._lane_minima.items()
                    if (closed or halted)
-                   and (key, version) not in self._hypothesis_minima]
+                   and self._records.get(key, _MemoRecord()).version != version]
         if len(pending) < 2:
             return 0
-        warm = [self._warm_start(key) for key, _ in pending]
+        records = [self._record(key) for key, _ in pending]
+        warm = [self._warm_start(record) for record in records]
         results = batch_data_minima([loss for _, loss in pending],
                                     self.hypothesis,
                                     solver_steps=[steps for _, steps in warm],
                                     starts=[start for start, _ in warm])
-        for (key, _), result in zip(pending, results):
-            self._hypothesis_minima[(key, version)] = result
-            if self.warm_start:
-                self._warm_starts[key] = (version, result.theta)
-                self._warm_starts.move_to_end(key)
-        while len(self._hypothesis_minima) > self.ROUND_CACHE_LIMIT:
-            self._hypothesis_minima.popitem(last=False)
-        while len(self._warm_starts) > self.DATA_MINIMA_LIMIT:
-            self._warm_starts.popitem(last=False)
+        for record, result in zip(records, results):
+            record.solved(version, result.theta)
         return len(pending)
 
-    def _round_breakdown(self, loss: LossFunction, key: str | None,
-                         data_result) -> DatabaseErrorBreakdown:
-        """One round's ``database_error``, version-cached and warm-started.
+    def _round_breakdown(self, loss: LossFunction,
+                         key: str | None) -> DatabaseErrorBreakdown:
+        """One round's ``database_error``, memoized and warm-started.
 
-        With the versioned core, a repeated ``(fingerprint, version)``
-        pair replays the cached breakdown — no solver call, no
-        loss-on-data pass, no error-query recomputation. The cached
-        quantities are deterministic functions of ``(loss, data,
-        hypothesis version)``, so replaying them is exactly what
-        recomputing would produce.
+        With the versioned core, a record that holds ``l(theta; D)`` at
+        the current version replays the round's breakdown — no solver
+        call, no loss-on-data pass — from the floats the first
+        evaluation stored, so replaying is exactly what recomputing
+        would produce.
         """
         with trace.span("mechanism.cache_probe"):
-            hit = self._round_cache_get(key)
-        if hit is not None:
-            return hit
+            record = self._record(key) if key is not None else None
+            if (record is not None and record.loss_on_data is not None
+                    and record.version == self._core.version):
+                return record.breakdown()
+            data = (record.data if record is not None
+                    else self._data_minima_by_identity.get(loss))
         with trace.span("mechanism.solve", loss=loss.name):
-            hypothesis_result = self._minimize_on_hypothesis(loss, key)
-            if data_result is None:
-                data_result = self._data_minimum(loss, key)
-            breakdown = database_error(loss, self._data_histogram,
-                                       self.hypothesis,
-                                       solver_steps=self.solver_steps,
-                                       data_result=data_result,
-                                       hypothesis_result=hypothesis_result)
-        if self._core is not None and key is not None:
-            self._round_cache[(key, self._core.version)] = breakdown
-            while len(self._round_cache) > self.ROUND_CACHE_LIMIT:
-                self._round_cache.popitem(last=False)
-        return breakdown
+            theta = self._hypothesis_theta(loss, key)
+            if data is None:
+                data = _data_entry(self._data_minimum(loss, key))
+            loss_on_data = float(loss.loss_on(theta, self._data_histogram))
+        if record is None:
+            self._data_minima_by_identity[loss] = data
+        else:
+            record.data = data
+            if self._core is not None:
+                record.loss_on_data = loss_on_data
+        return DatabaseErrorBreakdown.from_parts(data, theta, loss_on_data)
 
     def _check_loss(self, loss: LossFunction) -> None:
         if loss.domain.dim < 1:
@@ -999,3 +961,8 @@ class PrivateMWConvex:
                 f"scale S={self.config.scale:.6g} this mechanism was "
                 f"calibrated for; privacy calibration would be invalid"
             )
+
+
+def _data_entry(result: MinimizeResult) -> MinimizeResult:
+    """A data-side minimum as a record holds (and snapshots) it."""
+    return MinimizeResult(result.theta, result.value, exact=False)

@@ -21,7 +21,6 @@ double while updates stay away and reset after one.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +59,10 @@ class PrivateMWLinear:
     Parameters mirror :class:`repro.core.pmw_cm.PrivateMWConvex` with
     ``scale = 1`` (query tables live in ``[0, 1]``, so the MW directions
     are already normalized).
+
+    No memo and no ``prewarm`` hook: a scalar round's ``<q, D>`` is one
+    dot product, cheaper than a lookup, and the same dot in every round
+    keeps an answer independent of the serving lane it arrived in.
     """
 
     def __init__(self, dataset: Dataset, *, alpha: float, beta: float = 0.05,
@@ -110,15 +113,6 @@ class PrivateMWLinear:
                 backend=self._backend)
         self._updates = 0
         self._queries = 0
-        # Fingerprint-keyed <q, D> cache, fed by prewarm(): the data
-        # histogram never changes, so a true answer computed once in a
-        # batched matvec serves every later scalar round of that query.
-        self._true_answers: "OrderedDict[str, float]" = OrderedDict()
-
-    #: LRU bound on the prewarmed true-answer cache (floats, so even the
-    #: bound's worth is a few hundred KB of keys — sized for safety, not
-    #: memory pressure).
-    TRUE_ANSWER_LIMIT = 8192
 
     # -- public state ---------------------------------------------------------
 
@@ -175,78 +169,14 @@ class PrivateMWLinear:
                 f"T={self.config.max_updates}"
             )
         self._validate_query(query)
-        with trace.span("mechanism.cache_probe"):
-            true_answer = self._true_answer(query)
         with trace.span("mechanism.solve"):
+            true_answer = self._data_histogram.dot(query.table)
             hypothesis_answer = self._hypothesis_dot(query.table)
         return self._answer_given(
             query,
             true_answer=true_answer,
             hypothesis_answer=hypothesis_answer,
         )
-
-    def _true_answer(self, query: LinearQuery) -> float:
-        """``<q, D>`` — prewarmed batch value when available, else a dot.
-
-        The cache key is the query's memoized fingerprint, so the lookup
-        is an attribute read plus a dict probe for queries the serving
-        layer already fingerprinted; uncached queries pay exactly the
-        scalar dot they always did.
-        """
-        if self._true_answers:
-            with trace.span("mechanism.fingerprint"):
-                key = query.fingerprint()
-            cached = self._true_answers.get(key)
-            if cached is not None:
-                self._true_answers.move_to_end(key)  # keep hot entries
-                return cached
-        return self._data_histogram.dot(query.table)
-
-    def prewarm(self, queries) -> int:
-        """Batch-populate the true-answer cache via the engine.
-
-        One loss-matrix matvec (:func:`repro.engine.batch_answers`)
-        computes ``<q, D>`` for every *distinct* fingerprintable
-        ``LinearQuery`` in the lane, so a coalesced batch of scalar
-        :meth:`answer` rounds skips its per-query data-side dot. The
-        data histogram is immutable, so entries never go stale; an LRU
-        bound (:attr:`TRUE_ANSWER_LIMIT`) caps memory. Pure evaluation
-        reordering — no privacy event, and values agree with the scalar
-        dot to floating-point reassociation (~1e-15, the same contract
-        as ``answer_all``'s batched true side).
-
-        Returns the number of fresh cache entries added.
-        """
-        from repro.engine import batch_answers, dedupe_by_fingerprint
-
-        lane = [query for query in queries
-                if isinstance(query, LinearQuery)
-                and query.table.size == self._dataset.universe.size]
-        lane_keys, uniques = dedupe_by_fingerprint(lane)
-        keys: list[str] = []
-        fresh: list[LinearQuery] = []
-        for key, query in zip(lane_keys, uniques):
-            if key in self._true_answers:
-                # Mark lane-needed entries hot so the LRU eviction below
-                # drops genuinely cold keys first.
-                self._true_answers.move_to_end(key)
-            else:
-                keys.append(key)
-                fresh.append(query)
-        # Bound the batched work, not the admissions: fresh entries are
-        # always inserted (the LRU loop below evicts cold ones to make
-        # room), so a long-lived session keeps its hot working set
-        # instead of freezing on whichever queries arrived first.
-        keys = keys[:self.TRUE_ANSWER_LIMIT]
-        fresh = fresh[:self.TRUE_ANSWER_LIMIT]
-        if not fresh:
-            return 0
-        values = batch_answers(fresh, self._data_histogram)
-        for key, value in zip(keys, values):
-            self._true_answers[key] = float(value)
-        while len(self._true_answers) > self.TRUE_ANSWER_LIMIT:
-            self._true_answers.popitem(last=False)
-        return len(fresh)
 
     def _hypothesis_dot(self, table: np.ndarray) -> float:
         """``<q, Dhat>`` — off the core's shared materialization when

@@ -28,8 +28,8 @@ the ROADMAP's "fast as the hardware allows" north star targets:
   one thread-safe memo of inner-solve minima (data side, and cold solves
   on the uniform prior) that every mechanism over it shares.
 
-Consumers: :class:`~repro.core.pmw_cm.PrivateMWConvex` pre-warms its
-data-side minimization cache through :func:`batch_data_minima`, and
+Consumers: :class:`~repro.core.pmw_cm.PrivateMWConvex` pre-warms the
+data-side minima in its record table through :func:`batch_data_minima`, and
 batches a lane's hypothesis-side minima through it too (closed forms at
 any time, lockstep GLMs once the mechanism has halted);
 :class:`~repro.core.pmw_linear.PrivateMWLinear` answers whole streams

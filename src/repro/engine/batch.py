@@ -48,7 +48,6 @@ from repro.exceptions import ValidationError
 from repro.losses.linear import LinearQuery, LinearQueryAsCM
 from repro.losses.squared import SquaredLoss
 from repro.obs import trace
-from repro.optimize.exact import minimize_quadratic_over_ball
 from repro.optimize.lockstep import (
     GLM_BLOCK_ROWS,
     glm_family,
@@ -381,16 +380,9 @@ def _squared_minima(losses, histogram: Histogram) -> list[MinimizeResult]:
     label_second = float(histogram.weights @ (labels * labels))
     results = []
     for loss in losses:
-        rotation = loss.rotation
-        if rotation is None:
-            second, cross = base_second, base_cross
-        else:
-            second = rotation @ base_second @ rotation.T
-            cross = rotation @ base_cross
-        c = loss.normalization
-        theta = minimize_quadratic_over_ball(
-            2.0 * c * second, -2.0 * c * cross, loss.domain)
+        theta, second, cross = loss.closed_form(base_second, base_cross)
         theta = loss.domain.project(np.asarray(theta, dtype=float))
+        c = loss.normalization
         value = c * (theta @ second @ theta - 2.0 * (cross @ theta)
                      + label_second)
         results.append(MinimizeResult(theta, float(value), True))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backend import backend_of
 from repro.data.histogram import Histogram
 from repro.losses.glm import GeneralizedLinearLoss
 from repro.optimize.exact import minimize_quadratic_over_ball
@@ -70,13 +71,30 @@ class SquaredLoss(GeneralizedLinearLoss):
         """
         if not isinstance(self.domain, L2Ball):
             return None
-        features = self._features(histogram.universe)
-        labels = histogram.universe.labels
-        if labels is None:
+        universe = histogram.universe
+        self.check_universe_dim(universe)
+        if universe.labels is None:
             return None
-        weights = histogram.weights
-        second_moment = weighted_second_moment(features, weights)
-        cross_moment = weighted_cross_moment(features, weights, labels)
-        quadratic = 2.0 * self.normalization * second_moment
-        linear = -2.0 * self.normalization * cross_moment
-        return minimize_quadratic_over_ball(quadratic, linear, self.domain)
+        backend = backend_of(histogram)
+        return self.closed_form(
+            backend.second_moment(universe.points, histogram.weights),
+            backend.cross_moment(universe.points, histogram.weights,
+                                 universe.labels))[0]
+
+    def closed_form(self, second: np.ndarray, cross: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(theta, R M Rᵀ, R v)`` from the moments ``M = E[x xᵀ]`` and
+        ``v = E[y x]`` of the raw universe points: the unprojected
+        minimizer over the ball, and the rotated moments it solves.
+
+        The one routine both :meth:`exact_minimizer` and the batched
+        engine (one moment pass per batch) solve with, so a minimum does
+        not depend on the batch it was solved in.
+        """
+        if self.rotation is not None:
+            second = self.rotation @ second @ self.rotation.T
+            cross = self.rotation @ cross
+        c = self.normalization
+        theta = minimize_quadratic_over_ball(2.0 * c * second,
+                                             -2.0 * c * cross, self.domain)
+        return theta, second, cross

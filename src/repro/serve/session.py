@@ -196,9 +196,10 @@ class Session:
         Delegates to the mechanism's ``prewarm`` hook (e.g.
         :meth:`repro.core.pmw_cm.PrivateMWConvex.prewarm`, which
         batch-computes data-side minimizations in one vectorized pass).
-        Mechanisms without the hook — or lanes too small to benefit — are
-        a no-op. Never a privacy event: pre-warming only reorders
-        non-private evaluation work.
+        Mechanisms without the hook — such as
+        :class:`~repro.core.pmw_linear.PrivateMWLinear`, whose scalar
+        round is two dot products — are a no-op. Never a privacy event:
+        pre-warming only reorders non-private evaluation work.
 
         Returns the number of batch-prepared entries (0 when skipped).
         """

@@ -99,7 +99,7 @@ class TestConvexPrewarm:
         assert added == len(losses)
         assert mechanism.prewarm(losses) == 0  # idempotent
         for loss in losses:
-            assert loss.fingerprint() in mechanism._data_minima
+            assert mechanism._records[loss.fingerprint()].data is not None
 
     def test_prewarm_skips_unfingerprintable(self, task, losses):
         mechanism = self._mechanism(task)
@@ -121,6 +121,19 @@ class TestConvexPrewarm:
             assert a.from_update == b.from_update
             np.testing.assert_allclose(a.theta, b.theta, atol=1e-10)
 
+    def test_squared_stream_bitwise_with_and_without_prewarm(self, task):
+        """The prewarmed lane solves squared GLMs' hypothesis minima in one
+        shared-moment pass; the lazy path solves each alone. Both run the
+        one closed-form routine, so the released thetas are bitwise
+        equal."""
+        losses = random_squared_family(task.universe, 8, rng=9)
+        runs = [self._mechanism(task).answer_all(
+                    losses + losses, on_halt="hypothesis", prewarm=prewarm)
+                for prewarm in (False, True)]
+        for lazy, warm in zip(*runs):
+            assert lazy.from_update == warm.from_update
+            assert lazy.theta.tobytes() == warm.theta.tobytes()
+
     def test_prewarm_respects_cache_limit(self, task):
         mechanism = self._mechanism(task)
         mechanism.DATA_MINIMA_LIMIT = 4
@@ -128,9 +141,9 @@ class TestConvexPrewarm:
         # only the stream prefix is computed — work past the LRU bound
         # would be evicted before it is ever used
         assert mechanism.prewarm(losses) == 4
-        assert len(mechanism._data_minima) <= 4
+        assert len(mechanism._records) <= 4
         for loss in losses[:4]:
-            assert loss.fingerprint() in mechanism._data_minima
+            assert mechanism._records[loss.fingerprint()].data is not None
 
 
 class TestBoundedMemoryFallback:
@@ -186,8 +199,8 @@ class TestPrewarmLruHygiene:
         # the lane re-requests the cached query plus LIMIT fresh ones;
         # eviction must drop a cold fresh entry, not the hot cached one
         mechanism.prewarm(warm + fresh)
-        assert hot_key in mechanism._data_minima
-        assert len(mechanism._data_minima) <= 4
+        assert mechanism._records[hot_key].data is not None
+        assert len(mechanism._records) <= 4
 
 
 class TestPrewarmGuards:

@@ -1,8 +1,8 @@
-"""Tests for the PMW round's data-side minimization cache.
+"""Tests for the data side of the PMW round's record table.
 
-The cache is keyed by the loss's canonical fingerprint
+Records are keyed by the loss's canonical fingerprint
 (:mod:`repro.losses.fingerprint`), so equal-parameter losses share one
-entry even across distinct objects — and cache keys survive
+entry even across distinct objects — and the keys survive
 snapshot/restore.
 """
 
@@ -22,21 +22,27 @@ def make_mechanism(dataset, **overrides):
     return PrivateMWConvex(dataset, NonPrivateOracle(150), **params)
 
 
+def data_minima(mechanism):
+    """Fingerprint -> data-side minimum, read off the record table."""
+    return {key: record.data for key, record in mechanism._records.items()
+            if record.data is not None}
+
+
 class TestDataMinimaCache:
     def test_cache_populated_per_distinct_loss(self, cube_dataset):
         mechanism = make_mechanism(cube_dataset)
         losses = random_quadratic_family(cube_dataset.universe, 4, rng=0)
         mechanism.answer_all(losses, on_halt="hypothesis")
-        assert len(mechanism._data_minima) == 4
+        assert len(data_minima(mechanism)) == 4
 
     def test_repeat_query_reuses_cache(self, cube_dataset):
         mechanism = make_mechanism(cube_dataset)
         loss = random_quadratic_family(cube_dataset.universe, 1, rng=1)[0]
         mechanism.answer(loss)
-        cached = mechanism._data_minima[loss.fingerprint()]
+        cached = data_minima(mechanism)[loss.fingerprint()]
         for _ in range(3):
             mechanism.answer(loss)
-        assert mechanism._data_minima[loss.fingerprint()] is cached
+        assert data_minima(mechanism)[loss.fingerprint()] is cached
 
     def test_equal_parameter_losses_share_entry(self, cube_dataset):
         """Rebuilding an identical loss object must hit the same entry —
@@ -47,9 +53,9 @@ class TestDataMinimaCache:
         assert first is not rebuilt
         assert first.fingerprint() == rebuilt.fingerprint()
         mechanism.answer(first)
-        assert len(mechanism._data_minima) == 1
+        assert len(data_minima(mechanism)) == 1
         mechanism.answer(rebuilt)
-        assert len(mechanism._data_minima) == 1
+        assert len(data_minima(mechanism)) == 1
 
     def test_cached_value_is_data_optimum(self, cube_dataset):
         from repro.optimize.minimize import minimize_loss
@@ -57,7 +63,7 @@ class TestDataMinimaCache:
         loss = random_quadratic_family(cube_dataset.universe, 1, rng=2)[0]
         mechanism.answer(loss)
         direct = minimize_loss(loss, cube_dataset.histogram(), steps=150)
-        assert mechanism._data_minima[loss.fingerprint()].value == pytest.approx(
+        assert data_minima(mechanism)[loss.fingerprint()].value == pytest.approx(
             direct.value, abs=1e-9
         )
 
@@ -82,9 +88,9 @@ class TestDataMinimaCache:
         restored = PrivateMWConvex.restore(
             snapshot, cube_dataset, NonPrivateOracle(150)
         )
-        assert set(restored._data_minima) == set(mechanism._data_minima)
-        for key, result in mechanism._data_minima.items():
-            np.testing.assert_allclose(restored._data_minima[key].theta,
+        assert set(data_minima(restored)) == set(data_minima(mechanism))
+        for key, result in data_minima(mechanism).items():
+            np.testing.assert_allclose(data_minima(restored)[key].theta,
                                        result.theta)
 
     def test_unfingerprintable_loss_still_answered(self, cube_dataset):
@@ -102,7 +108,7 @@ class TestDataMinimaCache:
         loss = CallableLoss(L2Ball(cube_dataset.universe.dim))
         answer = mechanism.answer(loss)
         assert loss.domain.contains(answer.theta, tol=1e-9)
-        assert len(mechanism._data_minima) == 0  # no fingerprint entry
+        assert len(mechanism._records) == 0  # no fingerprint record
         # identity fallback: repeats of the same object reuse one entry
         cached = mechanism._data_minima_by_identity[loss]
         mechanism.answer(loss)
@@ -119,6 +125,6 @@ class TestDataMinimaCache:
         mechanism = make_mechanism(cube_dataset)
         losses = random_quadratic_family(cube_dataset.universe, 6, rng=6)
         mechanism.answer_all(losses, on_halt="hypothesis")
-        assert len(mechanism._data_minima) <= 3
+        assert len(mechanism._records) <= 3
         # the most recent fingerprints survive
-        assert losses[-1].fingerprint() in mechanism._data_minima
+        assert losses[-1].fingerprint() in data_minima(mechanism)

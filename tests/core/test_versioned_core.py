@@ -1,6 +1,6 @@
 """Tests for the versioned hypothesis core threaded through the mechanisms.
 
-Covers the ``(fingerprint, version)``-keyed round cache, solver
+Covers the record table's round replay at an unchanged version, solver
 warm-starting, the in-place MW accumulation, version counters across
 snapshot/restore, and bitwise restore-then-update agreement with a
 never-snapshotted run.
@@ -105,7 +105,11 @@ class TestRoundCache:
                                        rng=5)[0]
         answer = mechanism.answer(loss)
         assert answer.from_update
-        assert len(mechanism._round_cache) == 0
+        # The update bumped the version: the round's record is now only a
+        # warm start, never a replay.
+        version = mechanism.hypothesis_version
+        assert all(record.version != version
+                   for record in mechanism._records.values())
 
     def test_answer_from_hypothesis_shares_cache(self, cube_dataset,
                                                  monkeypatch):
@@ -150,8 +154,6 @@ class TestRoundCache:
         for _ in range(mechanism.WARM_STALENESS_LIMIT + 1):
             mechanism._core.apply_update(
                 np.zeros(len(labeled)), 0.0)
-        mechanism._round_cache.clear()
-        mechanism._hypothesis_minima.clear()
         calls = self.count_solver_calls(monkeypatch)
         mechanism.answer_from_hypothesis(loss)
         assert calls["steps"] == [mechanism.solver_steps]
@@ -267,12 +269,16 @@ class TestSnapshotRestore:
         state = json.loads(json.dumps(mechanism.snapshot()))
         restored = PrivateMWConvex.restore(state, concentrated_dataset,
                                            NonPrivateOracle(120))
-        assert set(restored._warm_starts) == set(mechanism._warm_starts)
-        assert set(restored._round_cache) == set(mechanism._round_cache)
-        for key, (version, theta) in mechanism._warm_starts.items():
-            restored_version, restored_theta = restored._warm_starts[key]
-            assert restored_version == version
-            np.testing.assert_array_equal(restored_theta, theta)
+        version = mechanism.hypothesis_version
+        assert set(restored._records) == set(mechanism._records)
+        for key, record in mechanism._records.items():
+            twin = restored._records[key]
+            assert twin.version == record.version
+            if record.version == version:  # a stale one is never read
+                assert twin.loss_on_data == record.loss_on_data
+            np.testing.assert_array_equal(twin.theta, record.theta)
+            np.testing.assert_array_equal(twin.data.theta, record.data.theta)
+            assert twin.data.value == record.data.value
 
     def test_v1_snapshot_format_accepted(self, cube_dataset):
         """Pre-versioned-core (v1) snapshots restore onto the legacy
@@ -315,6 +321,52 @@ class TestSnapshotRestore:
         assert restored.versioned_core is False
         np.testing.assert_array_equal(restored.hypothesis.weights,
                                       mechanism.hypothesis.weights)
+
+
+class TestRestoreReplaysReleasedMinima:
+    """A hypothesis minimum released before a snapshot is replayed after
+    restore — not solved again from its own warm start, which gives a
+    different (equally valid) minimizer."""
+
+    @staticmethod
+    def round_trip(mechanism, dataset):
+        state = json.loads(json.dumps(mechanism.snapshot()))
+        return PrivateMWConvex.restore(state, dataset, NonPrivateOracle(120))
+
+    @staticmethod
+    def assert_replayed(mechanism, restored, losses, released):
+        for loss, theta in zip(losses, released):
+            for twin in (mechanism, restored):
+                again = twin.answer_from_hypothesis(loss).theta
+                assert again.tobytes() == theta.tobytes(), loss.name
+
+    def test_single_solve(self, classification_task):
+        dataset = classification_task.dataset
+        losses = random_logistic_family(dataset.universe, 8, rng=21)
+        mechanism = make_mechanism(dataset, scale=2.0, alpha=0.1,
+                                   solver_steps=60, rng=3)
+        for loss in losses[:4]:
+            mechanism.answer(loss)
+        assert mechanism.hypothesis_version > 0
+        released = [mechanism.answer_from_hypothesis(loss).theta
+                    for loss in losses[4:]]
+        restored = self.round_trip(mechanism, dataset)
+        self.assert_replayed(mechanism, restored, losses[4:], released)
+
+    def test_post_halt_lane_batch(self, classification_task):
+        dataset = classification_task.dataset
+        losses = random_logistic_family(dataset.universe, 8, rng=22)
+        mechanism = make_mechanism(dataset, scale=2.0, alpha=0.05,
+                                   max_updates=2, solver_steps=60,
+                                   noise_multiplier=0.0, rng=4)
+        mechanism.answer_all(losses, on_halt="hypothesis")
+        assert mechanism.halted
+        lane = random_logistic_family(dataset.universe, 6, rng=23)
+        mechanism.prewarm(lane)  # a halted mechanism batches the lane
+        released = [mechanism.answer_from_hypothesis(loss).theta
+                    for loss in lane]
+        restored = self.round_trip(mechanism, dataset)
+        self.assert_replayed(mechanism, restored, lane, released)
 
 
 class TestLinearVersionedCore:

@@ -1,5 +1,7 @@
 """Serving-layer engine integration: batch lanes are engine-prewarmed."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ def test_batch_serving_prewarms_mechanism_cache(task, losses):
     mechanism = service.session(sid).mechanism
     # every distinct loss in the lane hit the batched data-minima pass
     for loss in losses:
-        assert loss.fingerprint() in mechanism._data_minima
+        assert mechanism._records[loss.fingerprint()].data is not None
 
 
 def test_batch_serving_matches_sequential_submits(task, losses):
@@ -71,43 +73,60 @@ def test_lane_hypothesis_minima_match_scalar(task):
         b = scalar.answer(loss)
         assert a.from_update == b.from_update
         np.testing.assert_allclose(a.theta, b.theta, atol=1e-10)
-    # the batch pass actually populated current-version entries
+    # the batch pass actually populated current-version records
     version = batched.hypothesis_version
-    assert any(key_version == version
-               for _, key_version in batched._hypothesis_minima)
+    assert any(record.version == version
+               for record in batched._records.values())
 
 
 def test_linear_prewarm_matches_scalar_rounds(task):
-    """A prewarmed PMW-linear twin answers identically to a cold one."""
+    """A PMW-linear lane served through ``answer_batch`` (which prewarms
+    its lane) releases bitwise the answers of one submit per query:
+    every round's true answer is the same scalar dot."""
+    from repro.losses.families import random_linear_queries
+
+    queries = random_linear_queries(task.universe, 32, rng=5)
+    kwargs = dict(alpha=0.05, epsilon=1.5, delta=1e-6, max_updates=8)
+    laned = PMWService(task.dataset, rng=6)
+    sid = laned.open_session("pmw-linear", **kwargs)
+    assert laned.session(sid).prewarm(queries) == 0  # no hook: a no-op
+    lane_results = laned.answer_batch((sid, queries))
+    single = PMWService(task.dataset, rng=6)
+    sid = single.open_session("pmw-linear", **kwargs)
+    single_results = [single.submit(sid, query, on_halt="hypothesis")
+                      for query in queries]
+    assert any(result.source == "update" for result in single_results)
+    for got, want in zip(lane_results, single_results):
+        assert got.source == want.source
+        assert got.value == want.value
+
+
+def test_linear_restore_mid_stream_matches_uninterrupted(task):
+    """A PMW-linear run snapshotted mid-stream and restored continues
+    bitwise like the uninterrupted run, prewarmed lane or not."""
     from repro.core.pmw_linear import PrivateMWLinear
     from repro.losses.families import random_linear_queries
+    from repro.serve.session import Session
 
-    queries = random_linear_queries(task.universe, 12, rng=5)
-    kwargs = dict(alpha=0.2, epsilon=1.5, delta=1e-6, max_updates=6,
-                  noise_multiplier=0.0)
-    warm = PrivateMWLinear(task.dataset, rng=7, **kwargs)
-    cold = PrivateMWLinear(task.dataset, rng=7, **kwargs)
-    added = warm.prewarm(queries + queries)  # duplicates dedupe
-    assert added == len(queries)
-    assert warm.prewarm(queries) == 0  # already warm
-    for query in queries:
-        got = warm.answer(query)
-        want = cold.answer(query)
-        assert got.from_update == want.from_update
-        assert got.value == pytest.approx(want.value, abs=1e-12)
+    queries = random_linear_queries(task.universe, 32, rng=8)
+    kwargs = dict(alpha=0.05, epsilon=1.5, delta=1e-6, max_updates=32)
 
+    def serve(restore_at=None):
+        mechanism = PrivateMWLinear(task.dataset, rng=9, **kwargs)
+        Session("linear", mechanism).prewarm(queries)
+        answers = []
+        for index, query in enumerate(queries):
+            if index == restore_at:
+                state = json.loads(json.dumps(mechanism.snapshot()))
+                mechanism = PrivateMWLinear.restore(state, task.dataset)
+            answers.append(mechanism.answer(query))
+        return answers
 
-def test_linear_batch_serving_prewarms_true_answers(task):
-    from repro.losses.families import random_linear_queries
-
-    service = PMWService(task.dataset, rng=6)
-    sid = service.open_session("pmw-linear", alpha=0.2, epsilon=1.5,
-                               delta=1e-6, max_updates=6)
-    queries = random_linear_queries(task.universe, 6, rng=7)
-    service.answer_batch((sid, queries))
-    mechanism = service.session(sid).mechanism
-    for query in queries:
-        assert query.fingerprint() in mechanism._true_answers
+    straight, resumed = serve(), serve(restore_at=12)
+    assert any(answer.from_update for answer in straight[12:])
+    for a, b in zip(straight, resumed):
+        assert (a.value, a.from_update, a.update_index) == \
+            (b.value, b.from_update, b.update_index)
 
 
 def test_plan_mechanism_lane_preserves_order(task, losses):
@@ -121,15 +140,15 @@ def test_plan_mechanism_lane_preserves_order(task, losses):
 
 
 def test_session_prewarm_linear_counts_distinct(task):
-    """PMW-linear sessions batch their true-answer side on prewarm
-    (one loss-matrix matvec per lane) — added in the gateway PR."""
+    """PMW-linear has no prewarm hook (its scalar round is two dots), so a
+    session prewarm prepares nothing and the lane still serves."""
     from repro.losses.families import random_linear_queries
 
     service = PMWService(task.dataset, rng=5)
     sid = service.open_session("pmw-linear", alpha=0.2, epsilon=2.0,
                                max_updates=10)
     queries = random_linear_queries(task.universe, 4, rng=6)
-    assert service.session(sid).prewarm(queries) == 4
+    assert service.session(sid).prewarm(queries) == 0
     results = service.answer_batch((sid, queries))
     assert len(results) == 4
 

@@ -10,10 +10,12 @@ here asserts the strongest form of recovery — restored accountant
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.losses.families import random_quadratic_family
+from repro.losses.families import random_logistic_family, \
+    random_quadratic_family
 from repro.serve.checkpoint import Checkpointer, checkpoint_stamp
 from repro.serve.ledger import BudgetLedger, fsync_dir, replay_ledger
 from repro.serve.service import PMWService
@@ -125,6 +127,33 @@ class TestCheckpointer:
                                         ledger_path=env["ledger"])
         fresh = Checkpointer(restored, env["checkpoints"])
         assert fresh.last_stamp == checkpoint_stamp(env["snapshot"])
+        restored.close()
+
+
+    def test_restored_sessions_replay_released_minima(
+            self, classification_task, tmp_path):
+        """A checkpoint carries each convex session's whole record table:
+        hypothesis minima released before it are served bitwise again
+        after restore, not solved anew from their warm starts."""
+        dataset = classification_task.dataset
+        ledger_path = tmp_path / "budget.jsonl"
+        service = PMWService(dataset, ledger_path=ledger_path, rng=0)
+        sid = open_convex(service, scale=2.0, alpha=0.05, max_updates=2,
+                          solver_steps=60, noise_multiplier=0.0)
+        losses = random_logistic_family(dataset.universe, 10, rng=31)
+        first = service.answer_batch((sid, losses))
+        assert service.session(sid).halted
+        assert any(result.source == "hypothesis" for result in first)
+        Checkpointer(service, tmp_path / "checkpoints").checkpoint()
+        restored = Checkpointer.restore(dataset, tmp_path / "checkpoints",
+                                        ledger_path=ledger_path)
+        for loss in losses:
+            want, got = (twin.submit(sid, loss, use_cache=False,
+                                     on_halt="hypothesis").value
+                         for twin in (service, restored))
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert records_by_session(restored) == records_by_session(service)
+        service.close()
         restored.close()
 
 
